@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle, radio, runtime
+from .coordgraph import CoordinationGraph, default_elimination_order
 from .learner import LearningParams
 
 __all__ = [
@@ -32,6 +33,9 @@ __all__ = [
     "export_q_surface",
     "main",
 ]
+
+# Elimination order of every training run and of its greedy readout.
+ORDER_STRATEGY = "fixed-reverse"
 
 SWEEP_COLUMNS = [
     "beta",
@@ -238,14 +242,8 @@ def load_config(path) -> ExperimentConfig:
 def _sweep_point(task) -> list:
     """Train at one beta and produce its result row. Top level for pickling."""
     config, beta, index = task
-    net = config.network(beta)
-    episodes = config.resolve_episodes(net)
-    params = config.learning(episodes)
-    agents, _ = runtime.train(net, params, episodes, seed=[config.seed, index])
-    grid = radio.build_action_grid(net)
-    order = tuple(range(net.n_agents - 1, -1, -1))
-    action, _ = runtime.greedy_joint_action(agents, order)
-    powers = grid.powers(tuple(action[j] for j in range(net.n_agents)))
+    net, agents, _ = _train_from_config(config, beta, seed=[config.seed, index])
+    powers = _learned_powers(net, agents)
     return [
         beta,
         float(powers[0]),
@@ -325,12 +323,24 @@ def export_q_surface(agents, path, state=0) -> str:
     return path
 
 
-def _train_from_config(config: ExperimentConfig, beta: float | None = None):
+def _train_from_config(config: ExperimentConfig, beta: float | None = None, seed=None):
     net = config.network(beta)
     episodes = config.resolve_episodes(net)
     params = config.learning(episodes)
-    agents, traces = runtime.train(net, params, episodes, seed=config.seed)
+    agents, traces = runtime.train(
+        net, params, episodes, seed=config.seed if seed is None else seed,
+        order_strategy=ORDER_STRATEGY,
+    )
     return net, agents, traces
+
+
+def _learned_powers(net: radio.NetworkConfig, agents) -> np.ndarray:
+    """The trained agents' greedy allocation in mW, read out by VE in the
+    elimination order training used, so ties decode the same way."""
+    graph = CoordinationGraph(tuple(a.local_q.scope for a in agents))
+    order = default_elimination_order(graph, ORDER_STRATEGY)
+    action, _ = runtime.greedy_joint_action(agents, order)
+    return radio.build_action_grid(net).powers(tuple(action[j] for j in range(net.n_agents)))
 
 
 def _cmd_run(args) -> int:
@@ -342,10 +352,7 @@ def _cmd_run(args) -> int:
     runtime.write_trace_csv(traces, trace_path)
     print(f"wrote {trace_path}")
 
-    grid = radio.build_action_grid(net)
-    order = tuple(range(net.n_agents - 1, -1, -1))
-    action, _ = runtime.greedy_joint_action(agents, order)
-    powers = grid.powers(tuple(action[j] for j in range(net.n_agents)))
+    powers = _learned_powers(net, agents)
     achieved = radio.sum_throughput(powers, net)
     print(f"learned allocation (mW): {tuple(float(p) for p in powers)}")
     print(f"learned sum throughput:  {achieved:.4f} bits/s/Hz")

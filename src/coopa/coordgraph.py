@@ -139,26 +139,29 @@ class CoordinationGraph:
 def _aligned_sum(functions, scope: tuple[int, ...]) -> np.ndarray:
     """Sum tables after broadcasting each onto the axes of `scope`.
 
-    Every function's scope must be a subset of `scope`. Tables are added
-    in the order given, so callers that need bit-identical sums must agree
-    on that order.
+    Every function's scope must be a subset of `scope`. One buffer is
+    allocated, filled with +0.0, and every table is added into it in
+    place, in the order given, so callers that need bit-identical sums
+    must agree on that order. Because the sum starts from +0.0 and
+    +0.0 + -0.0 == +0.0, no entry of the result is ever -0.0; an argmax
+    over any axis therefore gathers back exactly the value max() would
+    return, bit for bit, which is what eliminate_agent relies on.
     """
     pos = {a: k for k, a in enumerate(scope)}
+    placed = []
     sizes = [1] * len(scope)
     for fn in functions:
-        for a, n in zip(fn.scope, fn.values.shape):
-            sizes[pos[a]] = n
-    total = np.zeros(tuple(sizes))
-    for fn in functions:
-        # Move this table's axes to their slots in the joint scope.
-        expanded = fn.values
         axes = [pos[a] for a in fn.scope]
-        expanded = np.moveaxis(
-            expanded.reshape(expanded.shape + (1,) * (len(scope) - expanded.ndim)),
-            range(len(fn.scope)),
-            axes,
-        )
-        total = total + expanded
+        # The table's axes sorted into joint-scope order, then unit axes
+        # for the joint agents it does not mention: a view, never a copy.
+        perm = sorted(range(len(axes)), key=axes.__getitem__)
+        shape = [1] * len(scope)
+        for k, n in zip(axes, fn.values.shape):
+            shape[k] = sizes[k] = n
+        placed.append(fn.values.transpose(perm).reshape(shape))
+    total = np.zeros(sizes)
+    for view in placed:
+        np.add(total, view, out=total)
     return total
 
 
@@ -189,8 +192,13 @@ def eliminate_agent(
         )
 
     joint = _aligned_sum(involved, tuple(remaining) + (agent,))
-    f = FunctionTable(tuple(remaining), joint.max(axis=-1))
-    b = FunctionTable(tuple(remaining), joint.argmax(axis=-1))
+    best = joint.argmax(axis=-1)
+    # One reduction: read each row's maximum back at its argmax, by flat
+    # index into the (contiguous) joint table.
+    flat = np.arange(0, joint.size, joint.shape[-1])
+    flat += best.ravel()
+    f = FunctionTable(tuple(remaining), joint.take(flat).reshape(best.shape))
+    b = FunctionTable(tuple(remaining), best)
     return f, b, untouched
 
 

@@ -73,6 +73,11 @@ class NetworkConfig:
             raise ValueError(f"beta must be ({n}, {n}), got {beta.shape}")
         if p_max.shape != (n,):
             raise ValueError(f"p_max_dbm must have {n} entries, got {p_max.shape}")
+        for name, value in (
+            ("gain", gain), ("beta", beta), ("noise_mw", self.noise_mw), ("p_max_dbm", p_max),
+        ):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if np.any(gain <= 0):
             raise ValueError("channel gains must be positive")
         if self.noise_mw <= 0:
@@ -96,6 +101,10 @@ class NetworkConfig:
             for i, js in enumerate(ifr):
                 if i in js:
                     raise ValueError(f"agent {i} cannot interfere with itself")
+                if any(not 0 <= j < n for j in js) or len(set(js)) != len(js):
+                    raise ValueError(
+                        f"interferers of agent {i} must be distinct ids in [0, {n}), got {js}"
+                    )
                 for j in range(n):
                     if j != i and j not in js and beta[j, i] != 0:
                         raise ValueError(
@@ -134,6 +143,8 @@ class ActionGrid:
         """Decode a joint action (one grid index per agent) into mW powers."""
         if len(action) != self.n_agents:
             raise ValueError(f"expected {self.n_agents} indices, got {len(action)}")
+        if any(not 0 <= a < self.n_power for a in action):
+            raise ValueError(f"power indices must lie in [0, {self.n_power}), got {action}")
         return np.array([self.levels[i, a] for i, a in enumerate(action)])
 
 

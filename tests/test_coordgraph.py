@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coopa.coordgraph import (
     CoordinationGraph,
@@ -13,6 +15,11 @@ from coopa.coordgraph import (
     eliminate_agent,
     ve_argmax,
 )
+from coopa.learner import LocalQ
+from coopa.runtime import Agent, ve_via_messages
+
+# Fixed examples, so the suite is deterministic and its run time bounded.
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
 
 def enumerate_max(functions):
@@ -277,3 +284,88 @@ class TestTables:
         assert g.edges() == {
             frozenset(p) for p in [(1, 2), (2, 4), (1, 3), (3, 4)]
         }
+
+
+def reference_sum(functions, scope):
+    """The joint table as a fresh broadcast sum per table, starting from
+    +0.0 and adding in the order given: the summation VE must reproduce."""
+    pos = {a: k for k, a in enumerate(scope)}
+    sizes = [1] * len(scope)
+    for fn in functions:
+        for a, n in zip(fn.scope, fn.values.shape):
+            sizes[pos[a]] = n
+    total = np.zeros(tuple(sizes))
+    for fn in functions:
+        expanded = fn.values.reshape(fn.values.shape + (1,) * (len(scope) - fn.values.ndim))
+        total = total + np.moveaxis(expanded, range(fn.values.ndim), [pos[a] for a in fn.scope])
+    return total
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def instances(draw, max_agents=5, max_actions=4):
+    """One table per agent over itself and up to two others, in any axis
+    order, plus an elimination order. Integer-valued instances make ties
+    common and hold -0.0 often; real-valued ones rarely tie."""
+    n = draw(st.integers(1, max_agents))
+    sizes = draw(st.lists(st.integers(1, max_actions), min_size=n, max_size=n))
+    integral = draw(st.booleans())
+    elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) if integral else st.floats(-10, 10)
+    functions = []
+    for j in range(n):
+        others = [a for a in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)) if a != j]
+        scope = tuple(draw(st.permutations([j, *others])))
+        shape = tuple(sizes[a] for a in scope)
+        functions.append(FunctionTable(scope, draw(hnp.arrays(np.float64, shape, elements=elements))))
+    order = tuple(draw(st.permutations(range(n))))
+    return functions, order, integral
+
+
+class TestProperties:
+    @PROPERTY
+    @given(instances())
+    def test_eliminate_agent_is_max_and_lowest_argmax(self, instance):
+        functions, order, _ = instance
+        live = list(functions)
+        for agent in order:
+            involved = [fn for fn in live if agent in fn.scope]
+            f, b, untouched = eliminate_agent(live, agent)
+            remaining = tuple(sorted({a for fn in involved for a in fn.scope} - {agent}))
+            joint = reference_sum(involved, remaining + (agent,))
+            best = joint.max(axis=-1)
+            assert f.scope == b.scope == remaining
+            assert same_bits(f.values, best)
+            # lowest index among the maxima
+            assert same_bits(b.values, (joint == best[..., None]).argmax(axis=-1))
+            assert untouched == tuple(fn for fn in live if agent not in fn.scope)
+            live = list(untouched) + ([f] if f.scope else [])
+
+    @PROPERTY
+    @given(instances())
+    def test_messages_equal_in_memory_ve_bit_for_bit(self, instance):
+        functions, order, _ = instance
+        agents = []
+        for j, fn in enumerate(functions):
+            q = LocalQ(agent=j, scope=fn.scope, n_actions=fn.values.shape, tables={0: fn.values})
+            agents.append(Agent(id=j, local_q=q, levels=np.zeros(fn.values.shape[fn.scope.index(j)])))
+        action, value = ve_via_messages(agents, order, 0)
+        expected_action, expected_value = ve_argmax(functions, order)
+        assert action == expected_action
+        assert repr(value) == repr(expected_value)
+
+    @PROPERTY
+    @given(instances())
+    def test_ve_value_equals_brute_force(self, instance):
+        functions, order, integral = instance
+        action, value = ve_argmax(functions, order)
+        _, expected = brute_force_argmax(functions)
+        attained = sum(fn.value_at(action) for fn in functions)
+        if integral:  # every partial sum is exact
+            assert value == expected == attained
+        else:  # summation orders differ; |values| <= 50, a few ulps apart
+            assert value == pytest.approx(expected, rel=0, abs=1e-12)
+            assert attained == pytest.approx(value, rel=0, abs=1e-12)

@@ -207,6 +207,12 @@ class TestActionGrid:
         with pytest.raises(ValueError):
             grid.powers((0,))
 
+    @pytest.mark.parametrize("action", [(-1, 0), (0, 3)])
+    def test_powers_rejects_index_off_the_grid(self, action):
+        grid = radio.build_action_grid(two_cell(0.3, n_power=3))
+        with pytest.raises(ValueError, match="power indices"):
+            grid.powers(action)
+
 
 def grid_close(got, expected, abs_tol=1e-3):
     return np.allclose(np.asarray(got), np.asarray(expected), atol=abs_tol)
@@ -274,4 +280,41 @@ class TestNetworkConfigValidation:
                 p_max_dbm=np.array([10.0, 10.0]),
                 n_power=3,
                 interferers=((), ()),
+            )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gain", [np.nan, 1.0]),
+            ("gain", [np.inf, 1.0]),
+            ("beta", [[0.0, np.nan], [0.3, 0.0]]),
+            ("noise_mw", np.inf),
+            ("noise_mw", np.nan),
+            ("p_max_dbm", [10.0, np.inf]),
+            ("p_max_dbm", [-np.inf, 10.0]),
+        ],
+    )
+    def test_nonfinite_inputs_rejected_by_name(self, field, value):
+        kwargs = dict(
+            gain=np.array([1.0, 1.0]),
+            beta=np.array([[0.0, 0.3], [0.3, 0.0]]),
+            noise_mw=1.0,
+            p_max_dbm=np.array([10.0, 10.0]),
+            n_power=3,
+        )
+        kwargs[field] = np.array(value) if isinstance(value, list) else value
+        with pytest.raises(ValueError, match=field):
+            radio.NetworkConfig(**kwargs)
+
+    @pytest.mark.parametrize("ids", [(-1,), (3,), (5,), (1, 1)])
+    def test_explicit_interferer_ids_out_of_range_or_repeated(self, ids):
+        # -1 would wrap to agent 2 and 1 twice would count agent 1 twice
+        with pytest.raises(ValueError, match="interferers of agent 0"):
+            radio.NetworkConfig(
+                gain=np.ones(3),
+                beta=np.zeros((3, 3)),
+                noise_mw=1.0,
+                p_max_dbm=np.full(3, 10.0),
+                n_power=3,
+                interferers=(ids, (), ()),
             )

@@ -227,6 +227,29 @@ class TestTrain:
         for a, b in zip(seq_agents, par_agents):
             assert np.array_equal(a.local_q.table(0), b.local_q.table(0))
 
+    def test_parallel_equals_sequential_on_a_ring(self):
+        # 4-cell ring: min-degree eliminations induce tables over 3 agents,
+        # which the two-cell case never reaches, with the pool running.
+        beta = np.zeros((4, 4))
+        for i in range(4):
+            beta[i, (i + 1) % 4] = beta[(i + 1) % 4, i] = 0.3
+        cfg = radio.NetworkConfig(
+            gain=np.array([2.5, 1.5, 2.5, 1.5]),
+            beta=beta,
+            noise_mw=1.0,
+            p_max_dbm=np.array([10.0, 13.0, 10.0, 13.0]),
+            n_power=5,
+        )
+        params = LearningParams(epsilon_decay_episodes=150)
+        runs = [
+            train(cfg, params, episodes=200, seed=5, order_strategy="min-degree", parallel=p)
+            for p in (False, True)
+        ]
+        (seq_agents, seq_traces), (par_agents, par_traces) = runs
+        assert seq_traces == par_traces
+        for a, b in zip(seq_agents, par_agents):
+            assert a.local_q.table(0).tobytes() == b.local_q.table(0).tobytes()
+
     def test_learns_reference_two_cell_optimum(self):
         # small grid so the full run stays fast; the full-size case is in
         # the acceptance suite
