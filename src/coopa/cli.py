@@ -177,29 +177,18 @@ def _parse_value(kind: str, raw: str, where: str):
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
+    """Check a config by building the network and learning parameters it
+    describes; their errors come back prefixed with the config section."""
     if len(config.gains) != len(config.p_max_dbm):
         raise ConfigValueError(
             f"[network] gains has {len(config.gains)} entries but "
             f"p_max_dbm has {len(config.p_max_dbm)}"
         )
-    if any(g <= 0 for g in config.gains):
-        raise ConfigValueError("[network] gains: channel gains must be positive")
-    if not 0 <= config.beta <= 1:
-        raise ConfigValueError(f"[network] beta must be in [0, 1], got {config.beta}")
-    if config.n_power < 2:
-        raise ConfigValueError(
-            f"[network] n_power must be at least 2, got {config.n_power}"
-        )
-    if not 0 < config.alpha <= 1:
-        raise ConfigValueError(f"[learning] alpha must be in (0, 1], got {config.alpha}")
-    if not 0 <= config.gamma < 1:
-        raise ConfigValueError(f"[learning] gamma must be in [0, 1), got {config.gamma}")
-    for key in ("epsilon_start", "epsilon_end"):
-        v = getattr(config, key)
-        if not 0 <= v <= 1:
-            raise ConfigValueError(f"[learning] {key} must be in [0, 1], got {v}")
-    if config.epsilon_start < config.epsilon_end:
-        raise ConfigValueError("[learning] epsilon_start must be >= epsilon_end")
+    for section, build in (("network", config.network), ("learning", lambda: config.learning(1))):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigValueError(f"[{section}] {exc}") from None
     if config.episodes is not None and config.episodes < 1:
         raise ConfigValueError(
             f"[experiment] episodes must be at least 1, got {config.episodes}"
@@ -375,10 +364,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_surface(args) -> int:
     config = _load_with_overrides(args)
-    beta = config.beta if args.beta is None else args.beta
-    if not 0 <= beta <= 1:
-        raise ConfigValueError(f"beta must be in [0, 1], got {beta}")
-    _, agents, _ = _train_from_config(config, beta=beta)
+    if args.beta is not None:
+        config = _validate(replace(config, beta=args.beta))
+    _, agents, _ = _train_from_config(config)
     path = export_q_surface(agents, args.out)
     print(f"wrote {path}")
     return 0

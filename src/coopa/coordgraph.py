@@ -8,6 +8,18 @@ are collapsed into a conditional-value table (f) and a best-response table
 recovers the optimal joint action. A brute-force enumerator provides the
 testing oracle.
 
+Everything about an elimination except the arithmetic depends only on the
+tables' scopes, the agents' action-set sizes and the order: which tables
+each step sums, the scope it leaves, how each table's axes line up with
+the step's joint table, and which agent receives the result. An
+EliminationPlan works that out, and validates it, once; running the plan
+on new table values then only does the arithmetic. compiled_plan keeps
+recent plans keyed on what they are built from, so a training loop that
+maximizes the same graph every episode compiles it once and replays it.
+Tables the kernel derives skip FunctionTable's validation; each
+conditional-value table is checked to be finite, which catches a sum
+that overflows and a non-finite input that reaches a row's maximum.
+
 All argmax operations break ties toward the lowest action index, and the
 scope of every derived table is kept sorted by agent id, so results are
 deterministic.
@@ -15,8 +27,11 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +39,8 @@ __all__ = [
     "FunctionTable",
     "CoordinationGraph",
     "EliminationRecord",
+    "EliminationPlan",
+    "compiled_plan",
     "eliminate_agent",
     "ve_argmax",
     "brute_force_argmax",
@@ -66,6 +83,16 @@ class FunctionTable:
         if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
             raise ValueError("table values must be finite")
 
+    @classmethod
+    def _trusted(cls, scope: tuple[int, ...], values: np.ndarray) -> FunctionTable:
+        """A table whose caller guarantees what __post_init__ checks:
+        scope a tuple of distinct ints, values an array with one axis per
+        scope agent and finite entries."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "scope", scope)
+        object.__setattr__(table, "values", values)
+        return table
+
     def value_at(self, assignment: dict[int, int]) -> float:
         """Evaluate the table at a (possibly larger) joint assignment."""
         idx = tuple(assignment[a] for a in self.scope)
@@ -87,6 +114,10 @@ class EliminationRecord:
     def __post_init__(self):
         if self.f.scope != self.b.scope:
             raise ValueError("f and b must share an identical scope")
+
+    def respond(self, assignment: dict[int, int]) -> int:
+        """The eliminated agent's best action given its scope's actions."""
+        return int(self.b.values[tuple(assignment[a] for a in self.b.scope)])
 
 
 @dataclass(frozen=True)
@@ -136,39 +167,87 @@ class CoordinationGraph:
         return es
 
 
-def _aligned_sum(functions, scope: tuple[int, ...]) -> np.ndarray:
-    """Sum tables after broadcasting each onto the axes of `scope`.
+def _action_sizes(scopes, shapes) -> dict[int, int]:
+    """Each agent's action-set size, which every table mentioning it must agree on."""
+    sizes: dict[int, int] = {}
+    for scope, shape in zip(scopes, shapes):
+        for a, n in zip(scope, shape):
+            if sizes.setdefault(a, n) != n:
+                raise ValueError(f"inconsistent action-set size for agent {a}")
+    return sizes
 
-    Every function's scope must be a subset of `scope`. One buffer is
-    allocated, filled with +0.0, and every table is added into it in
-    place, in the order given, so callers that need bit-identical sums
-    must agree on that order. Because the sum starts from +0.0 and
-    +0.0 + -0.0 == +0.0, no entry of the result is ever -0.0; an argmax
-    over any axis therefore gathers back exactly the value max() would
-    return, bit for bit, which is what eliminate_agent relies on.
+
+def _views(scopes, joint: tuple[int, ...], sizes: dict[int, int]):
+    """One (perm, shape) per scope that lines a table up with `joint`.
+
+    values.transpose(perm).reshape(shape) is a view, never a copy: the
+    table's axes sorted into joint order, then unit axes for the joint
+    agents it does not mention.
     """
-    pos = {a: k for k, a in enumerate(scope)}
-    placed = []
-    sizes = [1] * len(scope)
-    for fn in functions:
-        axes = [pos[a] for a in fn.scope]
-        # The table's axes sorted into joint-scope order, then unit axes
-        # for the joint agents it does not mention: a view, never a copy.
-        perm = sorted(range(len(axes)), key=axes.__getitem__)
-        shape = [1] * len(scope)
-        for k, n in zip(axes, fn.values.shape):
-            shape[k] = sizes[k] = n
-        placed.append(fn.values.transpose(perm).reshape(shape))
-    total = np.zeros(sizes)
-    for view in placed:
-        np.add(total, view, out=total)
+    pos = {a: k for k, a in enumerate(joint)}
+    views = []
+    for scope in scopes:
+        axes = [pos[a] for a in scope]
+        perm = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+        shape = [1] * len(joint)
+        for k in axes:
+            shape[k] = sizes[joint[k]]
+        views.append((perm, tuple(shape)))
+    return tuple(views)
+
+
+def _aligned_sum(functions, views, joint_shape: tuple[int, ...]) -> np.ndarray:
+    """Sum tables after broadcasting each through its view (see _views).
+
+    One buffer is allocated, filled with +0.0, and every table is added
+    into it in place, in the order given, so callers that need
+    bit-identical sums must agree on that order. Because the sum starts
+    from +0.0 and +0.0 + -0.0 == +0.0, no entry of the result is ever
+    -0.0; an argmax over any axis therefore gathers back exactly the value
+    max() would return, bit for bit, which is what eliminate_agent relies
+    on.
+    """
+    total = np.zeros(joint_shape)
+    for fn, (perm, shape) in zip(functions, views):
+        np.add(total, fn.values.transpose(perm).reshape(shape), out=total)
     return total
+
+
+class Layout(NamedTuple):
+    """How one elimination lines its tables up in its joint table.
+
+    The joint table has axes remaining + (agent,) and shape joint_shape;
+    views holds one (perm, shape) per summed table (see _views), and rows
+    the flat index of each joint row's first entry.
+    """
+
+    remaining: tuple[int, ...]
+    views: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    joint_shape: tuple[int, ...]
+    rows: np.ndarray
+
+
+def _layout(scopes, sizes: dict[int, int], agent: int, max_induced_scope: int) -> Layout:
+    remaining = sorted(set(itertools.chain.from_iterable(scopes)))
+    remaining.remove(agent)
+    if len(remaining) > max_induced_scope:
+        raise ValueError(
+            f"eliminating agent {agent} would induce a table over {len(remaining)} "
+            f"agents (limit {max_induced_scope})"
+        )
+    joint = (*remaining, agent)
+    joint_shape = tuple(sizes[a] for a in joint)
+    rows = np.arange(0, math.prod(joint_shape), joint_shape[-1])
+    rows.flags.writeable = False  # shared by every run of a cached plan
+    return Layout(tuple(remaining), _views(scopes, joint, sizes), joint_shape, rows)
 
 
 def eliminate_agent(
     functions,
     agent: int,
     max_induced_scope: int = MAX_INDUCED_SCOPE,
+    *,
+    layout: Layout | None = None,
 ) -> tuple[FunctionTable, FunctionTable, tuple[FunctionTable, ...]]:
     """Maximize the sum of all tables mentioning `agent` over its action.
 
@@ -176,30 +255,158 @@ def eliminate_agent(
     remaining scope to the best achievable sum, b to the maximizing action
     index of the eliminated agent (lowest index on ties), and untouched is
     the input functions that did not mention `agent`, in input order.
+
+    With a `layout` from an EliminationPlan step, `functions` must be
+    exactly the tables that step gathers, in its order; nothing is derived
+    or validated again, and untouched is empty.
     """
-    functions = tuple(functions)
-    involved = tuple(fn for fn in functions if agent in fn.scope)
-    untouched = tuple(fn for fn in functions if agent not in fn.scope)
-    if not involved:
-        raise ValueError(f"agent {agent} appears in no function scope")
+    if layout is None:
+        functions = tuple(functions)
+        involved = tuple(fn for fn in functions if agent in fn.scope)
+        untouched = tuple(fn for fn in functions if agent not in fn.scope)
+        if not involved:
+            raise ValueError(f"agent {agent} appears in no function scope")
+        scopes = [fn.scope for fn in involved]
+        sizes = _action_sizes(scopes, [fn.values.shape for fn in involved])
+        layout = _layout(scopes, sizes, agent, max_induced_scope)
+        functions = involved
+    else:
+        untouched = ()
 
-    remaining = sorted(set(itertools.chain.from_iterable(fn.scope for fn in involved)))
-    remaining.remove(agent)
-    if len(remaining) > max_induced_scope:
-        raise ValueError(
-            f"eliminating agent {agent} would induce a table over {len(remaining)} "
-            f"agents (limit {max_induced_scope})"
-        )
-
-    joint = _aligned_sum(involved, tuple(remaining) + (agent,))
-    best = joint.argmax(axis=-1)
+    joint = _aligned_sum(functions, layout.views, layout.joint_shape)
+    best = np.asarray(joint.argmax(axis=-1))
     # One reduction: read each row's maximum back at its argmax, by flat
     # index into the (contiguous) joint table.
-    flat = np.arange(0, joint.size, joint.shape[-1])
-    flat += best.ravel()
-    f = FunctionTable(tuple(remaining), joint.take(flat).reshape(best.shape))
-    b = FunctionTable(tuple(remaining), best)
+    values = joint.take(layout.rows + best.ravel()).reshape(best.shape)
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"eliminating agent {agent}: conditional values are not finite "
+            "(non-finite input or overflow)"
+        )
+    f = FunctionTable._trusted(layout.remaining, values)
+    b = FunctionTable._trusted(layout.remaining, best)
     return f, b, untouched
+
+
+class PlanStep(NamedTuple):
+    """One elimination of an EliminationPlan.
+
+    gather holds the births of the tables it sums, ascending; target is
+    the agent its conditional-value table goes to (None for the last
+    step); senders holds (owner, birth) of the gathered tables that other
+    agents own, by owner id, and is empty when the plan has no owners.
+    """
+
+    agent: int
+    gather: tuple[int, ...]
+    layout: Layout
+    target: int | None
+    senders: tuple[tuple[int, int], ...]
+
+
+class EliminationPlan:
+    """Variable elimination compiled once for fixed scopes, sizes and order.
+
+    Tables are numbered by birth: the n input tables are 0..n-1 in the
+    order given, and step k's conditional-value table is n + k. Each step
+    gathers every live table mentioning its agent and sums them in birth
+    order, so every runner of the plan gets the same bits. A step whose
+    result still has a scope routes it to the scope agent eliminated
+    soonest; a finished component's value goes to the last agent, and
+    `finished` lists the births of all such values, summed in birth order.
+
+    `owners[i]`, when given, is the agent holding input table i, which the
+    message-passing runner needs to address its ShareQ messages; owners
+    must then be exactly the agents in the scopes.
+    """
+
+    def __init__(
+        self,
+        scopes,
+        shapes,
+        order,
+        owners=None,
+        max_induced_scope: int = MAX_INDUCED_SCOPE,
+    ):
+        scopes = tuple(tuple(int(a) for a in s) for s in scopes)
+        shapes = tuple(tuple(int(n) for n in s) for s in shapes)
+        order = tuple(int(a) for a in order)
+        if not scopes:
+            raise ValueError("nothing to maximize: empty function set")
+        if len(shapes) != len(scopes) or any(len(s) != len(p) for s, p in zip(scopes, shapes)):
+            raise ValueError("need one shape per table, with one size per scope agent")
+        in_scopes = set(itertools.chain.from_iterable(scopes))
+        if set(order) != in_scopes or len(set(order)) != len(order):
+            raise ValueError(
+                f"elimination order {order} must cover exactly the agents {sorted(in_scopes)}"
+            )
+        if owners is not None:
+            owners = tuple(int(a) for a in owners)
+            if len(owners) != len(scopes) or len(set(owners)) != len(owners) or set(owners) != in_scopes:
+                raise ValueError(
+                    f"scopes mention {sorted(in_scopes)} but the agents are {sorted(owners)}"
+                )
+        sizes = _action_sizes(scopes, shapes)
+
+        position = {a: k for k, a in enumerate(order)}
+        live = [(k, s) for k, s in enumerate(scopes) if s]
+        steps = []
+        finished = [k for k, s in enumerate(scopes) if not s]
+        for agent in order:
+            gather = [(k, s) for k, s in live if agent in s]
+            live = [(k, s) for k, s in live if agent not in s]
+            layout = _layout([s for _, s in gather], sizes, agent, max_induced_scope)
+            birth = len(scopes) + len(steps)
+            if layout.remaining:
+                target = min(layout.remaining, key=position.__getitem__)
+                live.append((birth, layout.remaining))
+            else:
+                target = order[-1] if agent != order[-1] else None
+                finished.append(birth)
+            senders = () if owners is None else tuple(sorted(
+                (owners[k], k) for k, _ in gather if k < len(scopes) and owners[k] != agent
+            ))
+            steps.append(PlanStep(agent, tuple(k for k, _ in gather), layout, target, senders))
+
+        self.order = order
+        self.steps = tuple(steps)
+        self.finished = tuple(finished)
+
+    def run(self, tables) -> tuple[list[EliminationRecord], float]:
+        """Eliminate every agent from `tables`, one per input birth.
+
+        Returns one record per step and the summed value of the finished
+        components. The caller makes sure the tables fit the plan.
+        """
+        born = list(tables)
+        records = []
+        for step in self.steps:
+            f, b, _ = eliminate_agent(
+                [born[k] for k in step.gather], step.agent, layout=step.layout
+            )
+            born.append(f)
+            records.append(EliminationRecord(agent=step.agent, f=f, b=b))
+        value = 0.0
+        for k in self.finished:
+            value += float(born[k].values)
+        return records, value
+
+
+@functools.lru_cache(maxsize=64)
+def compiled_plan(
+    scopes: tuple[tuple[int, ...], ...],
+    shapes: tuple[tuple[int, ...], ...],
+    order: tuple[int, ...],
+    owners: tuple[int, ...] | None = None,
+    max_induced_scope: int = MAX_INDUCED_SCOPE,
+) -> EliminationPlan:
+    """The EliminationPlan for these arguments, built on first use.
+
+    Every argument must be hashable (tuples). The 64 most recently used
+    plans are kept, and an equal call returns the same plan object, so
+    callers must not change it.
+    """
+    return EliminationPlan(scopes, shapes, order, owners, max_induced_scope)
 
 
 def ve_argmax(
@@ -215,36 +422,21 @@ def ve_argmax(
     joint action as {agent: action index} and the attained value.
 
     `order` must be a permutation of exactly the agents appearing in the
-    scopes.
+    scopes. The plan comes from compiled_plan, so repeated calls on tables
+    of the same scopes and shapes compile it once.
     """
     functions = tuple(functions)
-    if not functions:
-        raise ValueError("nothing to maximize: empty function set")
-    order = tuple(int(a) for a in order)
-    in_scopes = set(itertools.chain.from_iterable(fn.scope for fn in functions))
-    if set(order) != in_scopes or len(set(order)) != len(order):
-        raise ValueError(
-            f"elimination order {order} must cover exactly the agents {sorted(in_scopes)}"
-        )
-
-    live = list(functions)
-    records: list[EliminationRecord] = []
-    constants = 0.0
-    for agent in order:
-        f, b, untouched = eliminate_agent(live, agent, max_induced_scope)
-        records.append(EliminationRecord(agent=agent, f=f, b=b))
-        if f.scope:
-            live = list(untouched) + [f]
-        else:
-            # Fully eliminated component; carry its value forward.
-            constants += float(f.values)
-            live = list(untouched)
-
+    plan = compiled_plan(
+        tuple(fn.scope for fn in functions),
+        tuple(fn.values.shape for fn in functions),
+        tuple(order),
+        max_induced_scope=max_induced_scope,
+    )
+    records, value = plan.run(functions)
     assignment: dict[int, int] = {}
     for rec in reversed(records):
-        idx = tuple(assignment[a] for a in rec.b.scope)
-        assignment[rec.agent] = int(rec.b.values[idx])
-    return assignment, constants
+        assignment[rec.agent] = rec.respond(assignment)
+    return assignment, value
 
 
 def brute_force_argmax(functions) -> tuple[dict[int, int], float]:
@@ -256,12 +448,9 @@ def brute_force_argmax(functions) -> tuple[dict[int, int], float]:
     functions = tuple(functions)
     if not functions:
         raise ValueError("nothing to maximize: empty function set")
-    agents = sorted(set(itertools.chain.from_iterable(fn.scope for fn in functions)))
-    sizes: dict[int, int] = {}
-    for fn in functions:
-        for a, n in zip(fn.scope, fn.values.shape):
-            if sizes.setdefault(a, n) != n:
-                raise ValueError(f"inconsistent action-set size for agent {a}")
+    scopes = [fn.scope for fn in functions]
+    agents = tuple(sorted(set(itertools.chain.from_iterable(scopes))))
+    sizes = _action_sizes(scopes, [fn.values.shape for fn in functions])
     n_combos = 1
     for a in agents:
         n_combos *= sizes[a]
@@ -271,7 +460,8 @@ def brute_force_argmax(functions) -> tuple[dict[int, int], float]:
             f"(limit {MAX_BRUTE_FORCE})"
         )
 
-    total = _aligned_sum(functions, tuple(agents))
+    shape = tuple(sizes[a] for a in agents)
+    total = _aligned_sum(functions, _views(scopes, agents, sizes), shape)
     # C-order argmax scans lexicographically, so the first maximum is the
     # lowest-index tie-break.
     flat = int(np.argmax(total))

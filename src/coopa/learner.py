@@ -9,6 +9,7 @@ scoped slice of the jointly-greedy action, which the coordinator supplies.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,13 @@ class LocalQ:
             raise ValueError("n_actions must give one size per scope agent")
         if self.tables is None:
             self.tables = {x: np.zeros(self.n_actions) for x in self.states}
+        for x, tab in self.tables.items():
+            if np.shape(tab) != self.n_actions:
+                raise ValueError(
+                    f"table for state {x!r} has shape {np.shape(tab)}, expected {self.n_actions}"
+                )
+            if not np.all(np.isfinite(tab)):
+                raise ValueError(f"table for state {x!r} of agent {self.agent} must be finite")
 
     def table(self, state) -> np.ndarray:
         try:
@@ -74,8 +82,12 @@ class LocalQ:
             raise ValueError(f"unknown state {state!r} for agent {self.agent}") from None
 
     def as_function_table(self, state) -> FunctionTable:
-        """View of this state's table for variable elimination (no copy)."""
-        return FunctionTable(self.scope, self.table(state))
+        """View of this state's table for variable elimination (no copy).
+
+        Not validated again: the table was checked at construction and
+        local_update writes only finite entries.
+        """
+        return FunctionTable._trusted(self.scope, self.table(state))
 
     def slice_joint(self, joint: dict[int, int]) -> tuple[int, ...]:
         """Restrict a joint action {agent: index} to this scope, in order."""
@@ -105,7 +117,9 @@ def local_update(
 
     q(x, a_j) += alpha * (r_j + gamma * q(x_next, a_star_j) - q(x, a_j)),
     where a_star_j is this agent's scoped slice of the jointly-greedy
-    action. Returns q, whose table was updated in place.
+    action. Returns q, whose table was updated in place. Raises
+    ValueError, leaving the table as it was, when the new entry would not
+    be finite: a NaN or infinite reward, or an overflow.
     """
     tab = q.table(x)
     a_j = tuple(a_j)
@@ -116,7 +130,13 @@ def local_update(
         ):
             raise ValueError(f"invalid scoped action {action} for scope {q.scope}")
     bootstrap = q.table(x_next)[a_star_j]
-    tab[a_j] += params.alpha * (r_j + params.gamma * bootstrap - tab[a_j])
+    old = tab[a_j]
+    new = old + params.alpha * (r_j + params.gamma * bootstrap - old)
+    if not math.isfinite(new):
+        raise ValueError(
+            f"agent {q.agent}: updating Q{a_j} with reward {r_j!r} gives {float(new)}, not a finite value"
+        )
+    tab[a_j] = new
     return q
 
 

@@ -79,11 +79,11 @@ class NetworkConfig:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
         if np.any(gain <= 0):
-            raise ValueError("channel gains must be positive")
+            raise ValueError("gain: channel gains must be positive")
         if self.noise_mw <= 0:
             raise ValueError("noise power must be positive")
         if np.any(beta < 0) or np.any(beta > 1):
-            raise ValueError("interference ratios must lie in [0, 1]")
+            raise ValueError("beta: interference ratios must lie in [0, 1]")
         if np.any(np.diag(beta) != 0):
             raise ValueError("no self-interference: diagonal of beta must be 0")
         if self.n_power < 2:

@@ -10,6 +10,12 @@ then fixes everyone's action. Per-user SINR comes back as feedback
 messages, and each agent updates its own table; updates touch disjoint
 tables, so they can run concurrently without changing the result.
 
+The choreography depends only on the graph, the action sizes and the
+elimination order, none of which change during training: it is compiled
+into a coordgraph.EliminationPlan at a training run's first elimination,
+and every later one replays that schedule (coordgraph.compiled_plan) on
+the current table values.
+
 Everything is deterministic under a fixed seed, regardless of scheduling.
 """
 
@@ -28,8 +34,9 @@ from .coordgraph import (
     CoordinationGraph,
     EliminationRecord,
     FunctionTable,
+    compiled_plan,
     default_elimination_order,
-    eliminate_agent,
+    eliminate_agent,  # noqa: F401  re-exported: tracing tools wrap it by this name
     ve_argmax,
 )
 from .learner import LearningParams, LocalQ, epsilon_at, explore_override, local_update
@@ -192,7 +199,8 @@ def ve_via_messages(
 
     Returns the optimal joint action {agent id: action index} and its
     value; both match coordgraph.ve_argmax applied to the agents' state
-    tables (taken in the order the agents are given) bit for bit.
+    tables (taken in the order the agents are given) bit for bit, because
+    both run the same EliminationPlan.
 
     Elimination pass: every surviving agent ShareQ-sends its local table
     to the agent being eliminated if that table mentions it; conditional
@@ -203,78 +211,40 @@ def ve_via_messages(
     has an empty scope: the global maximum. Recovery pass: Assignment
     messages chain through the reversed order, each agent appending the
     action its retained table prescribes given the choices made so far.
+
+    The plan fixes every step's tables, so the arithmetic runs first and
+    the bus then carries the elimination pass's traffic in protocol
+    order. The plan is compiled once per set of scopes, table shapes,
+    agent ids and order, and replayed on later calls.
     """
     agents = list(agents)
-    by_id = {a.id: a for a in agents}
-    order = tuple(int(a) for a in order)
-    if set(order) != set(by_id) or len(order) != len(agents):
-        raise ValueError("elimination order must be a permutation of the agents")
-    scoped = set().union(*(a.local_q.scope for a in agents))
-    if scoped != set(by_id):
-        raise ValueError(f"scopes mention {sorted(scoped)} but agents are {sorted(by_id)}")
+    tables = [a.local_q.as_function_table(state) for a in agents]
+    owners = tuple(a.id for a in agents)
+    plan = compiled_plan(
+        tuple(t.scope for t in tables),
+        tuple(t.values.shape for t in tables),
+        tuple(order),
+        owners,
+        max_induced_scope,
+    )
     if bus is None:
         bus = InMemoryBus()
         for a in agents:
             bus.register(a.id)
 
-    position = {a: k for k, a in enumerate(order)}
-    last = order[-1]
-    n_orig = len(agents)
-    orig_seq = {a.id: k for k, a in enumerate(agents)}
+    records, value = plan.run(tables)
+    by_id = dict(zip(owners, agents))
+    for step, rec in zip(plan.steps, records):
+        for sender, birth in step.senders:
+            bus.send(ShareQ(sender, step.agent, tables[birth]))
+        # The plan already gathered what sits in the mailbox: this step's
+        # ShareQ tables and the conditional tables forwarded here earlier.
+        bus.drain(step.agent)
+        by_id[step.agent].retained = rec
+        if step.target is not None:
+            bus.send(FFunction(step.agent, step.target, rec.f))
 
-    # Live tables tagged with a birth index, so every participant combines
-    # them in the same order as the in-memory eliminator.
-    holdings: dict[int, list[tuple[int, FunctionTable]]] = {
-        a.id: [(orig_seq[a.id], a.local_q.as_function_table(state))] for a in agents
-    }
-    next_seq = n_orig
-    constants = 0.0
-    alive = sorted(by_id)
-
-    for agent_id in order:
-        me = by_id[agent_id]
-        for other in alive:
-            if other == agent_id:
-                continue
-            keep = []
-            for seq, fn in holdings[other]:
-                if agent_id in fn.scope:
-                    # Only original tables can still mention this agent
-                    # elsewhere; induced ones were routed to it directly.
-                    assert seq < n_orig
-                    bus.send(ShareQ(other, agent_id, fn))
-                else:
-                    keep.append((seq, fn))
-            holdings[other] = keep
-        received = [
-            (orig_seq[msg.sender], msg.table)
-            for msg in bus.drain(agent_id)
-            if isinstance(msg, ShareQ)
-        ]
-        gathered = sorted(holdings[agent_id] + received, key=lambda p: p[0])
-        holdings[agent_id] = []
-        alive.remove(agent_id)
-
-        for _, fn in gathered:
-            if not fn.scope:  # early-finished component's value
-                constants += float(fn.values)
-        mentioning = [fn for _, fn in gathered if agent_id in fn.scope]
-        f, b, _ = eliminate_agent(mentioning, agent_id, max_induced_scope)
-        me.retained = EliminationRecord(agent=agent_id, f=f, b=b)
-
-        if f.scope:
-            target = min(f.scope, key=lambda a: position[a])
-            bus.send(FFunction(agent_id, target, f))
-            holdings[target].append((next_seq, f))
-        elif agent_id != last:
-            # This component is done; park its value with the last agent.
-            bus.send(FFunction(agent_id, last, f))
-            holdings[last].append((next_seq, f))
-        else:
-            constants += float(f.values)
-        next_seq += 1
-
-    recovery = tuple(reversed(order))
+    recovery = plan.order[::-1]
     assignment: dict[int, int] = {}
     for k, agent_id in enumerate(recovery):
         me = by_id[agent_id]
@@ -283,15 +253,13 @@ def ve_via_messages(
             for msg in bus.drain(agent_id):
                 if isinstance(msg, Assignment):
                     partial.update(msg.actions)
-        rec = me.retained
-        idx = tuple(partial[a] for a in rec.b.scope)
-        choice = int(rec.b.values[idx])
+        choice = me.retained.respond(partial)
         me.assigned = choice
         partial[agent_id] = choice
         if k + 1 < len(recovery):
             bus.send(Assignment(agent_id, recovery[k + 1], dict(partial)))
         assignment = partial
-    return assignment, constants
+    return assignment, value
 
 
 def build_agents(
@@ -350,7 +318,7 @@ def run_episode(
     agent then epsilon-greedily overrides its own assignment. Rewards are
     log2(1 + SINR) of the actually transmitted powers. A second
     elimination pass supplies the greedy joint action whose scoped slice
-    each agent bootstraps on.
+    each agent bootstraps on. Both passes replay one compiled plan.
     """
     agents = sorted(agents, key=lambda a: a.id)
     if bus is None:

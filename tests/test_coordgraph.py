@@ -11,12 +11,13 @@ from coopa.coordgraph import (
     CoordinationGraph,
     FunctionTable,
     brute_force_argmax,
+    compiled_plan,
     default_elimination_order,
     eliminate_agent,
     ve_argmax,
 )
 from coopa.learner import LocalQ
-from coopa.runtime import Agent, ve_via_messages
+from coopa.runtime import Agent, InMemoryBus, ve_via_messages
 
 # Fixed examples, so the suite is deterministic and its run time bounded.
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -325,6 +326,29 @@ def instances(draw, max_agents=5, max_actions=4):
     return functions, order, integral
 
 
+def agents_holding(functions):
+    """Agent j owns a copy of functions[j], whose scope must contain j."""
+    agents = []
+    for j, fn in enumerate(functions):
+        q = LocalQ(agent=j, scope=fn.scope, n_actions=fn.values.shape, tables={0: fn.values.copy()})
+        agents.append(Agent(id=j, local_q=q, levels=np.zeros(fn.values.shape[fn.scope.index(j)])))
+    return agents
+
+
+def logged_ve(agents, order):
+    """ve_via_messages on a fresh recording bus: (action, value, log), the
+    log as (kind, sender, recipient, payload scope or actions) per message."""
+    bus = InMemoryBus(record=True)
+    for a in agents:
+        bus.register(a.id)
+    action, value = ve_via_messages(agents, order, 0, bus)
+    log = [
+        (type(m).__name__, m.sender, m.recipient, m.actions if hasattr(m, "actions") else m.table.scope)
+        for m in bus.log
+    ]
+    return action, value, log
+
+
 class TestProperties:
     @PROPERTY
     @given(instances())
@@ -348,10 +372,7 @@ class TestProperties:
     @given(instances())
     def test_messages_equal_in_memory_ve_bit_for_bit(self, instance):
         functions, order, _ = instance
-        agents = []
-        for j, fn in enumerate(functions):
-            q = LocalQ(agent=j, scope=fn.scope, n_actions=fn.values.shape, tables={0: fn.values})
-            agents.append(Agent(id=j, local_q=q, levels=np.zeros(fn.values.shape[fn.scope.index(j)])))
+        agents = agents_holding(functions)
         action, value = ve_via_messages(agents, order, 0)
         expected_action, expected_value = ve_argmax(functions, order)
         assert action == expected_action
@@ -369,3 +390,71 @@ class TestProperties:
         else:  # summation orders differ; |values| <= 50, a few ulps apart
             assert value == pytest.approx(expected, rel=0, abs=1e-12)
             assert attained == pytest.approx(value, rel=0, abs=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(instances(), st.data())
+    def test_one_plan_replays_like_a_fresh_plan(self, instance, data):
+        functions, order, integral = instance
+        agents = agents_holding(functions)
+        logged_ve(agents, order)
+        ve_argmax(functions, order)
+        elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) if integral else st.floats(-10, 10)
+        for _ in range(3):
+            for a in agents:
+                table = a.local_q.table(0)
+                table[...] = data.draw(hnp.arrays(np.float64, table.shape, elements=elements))
+            tables = [a.local_q.as_function_table(0) for a in agents]
+            misses = compiled_plan.cache_info().misses
+            replayed = logged_ve(agents, order)
+            action, value = ve_argmax(tables, order)
+            assert compiled_plan.cache_info().misses == misses  # both plans replayed
+            compiled_plan.cache_clear()
+            fresh = logged_ve(agents, order)
+            expected_action, expected_value = ve_argmax(tables, order)
+            assert compiled_plan.cache_info().misses == 2  # both plans compiled afresh
+            assert replayed[0] == fresh[0]
+            assert same_bits(replayed[1], fresh[1])
+            assert replayed[2] == fresh[2]
+            assert (action, repr(value)) == (fresh[0], repr(fresh[1]))
+            assert (action, repr(value)) == (expected_action, repr(expected_value))
+
+
+# Agent 1's action set has 3 entries in one table and 1 in the other.
+INCONSISTENT = [((0, 1), np.ones((3, 3))), ((1,), np.array([1.0]))]
+
+
+class TestPlan:
+    @pytest.mark.parametrize("tables", [INCONSISTENT, INCONSISTENT[::-1]])
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_inconsistent_action_sizes_rejected(self, tables, order):
+        functions = [FunctionTable(scope, values) for scope, values in tables]
+        with pytest.raises(ValueError, match="inconsistent action-set size for agent 1"):
+            ve_argmax(functions, order)
+
+    @pytest.mark.parametrize("agent_order", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_inconsistent_action_sizes_rejected_over_messages(self, agent_order, order):
+        agents = agents_holding([FunctionTable(scope, values) for scope, values in INCONSISTENT])
+        with pytest.raises(ValueError, match="inconsistent action-set size for agent 1"):
+            ve_via_messages([agents[k] for k in agent_order], order, 0)
+
+    def test_constant_tables_count_toward_the_value(self):
+        functions = [FunctionTable((), np.array(2.5)), FunctionTable((0,), np.array([1.0, 3.0]))]
+        assert ve_argmax(functions, (0,)) == brute_force_argmax(functions) == ({0: 1}, 5.5)
+        assert ve_argmax(functions[:1], ()) == brute_force_argmax(functions[:1]) == ({}, 2.5)
+
+    def test_overflowing_sum_rejected(self):
+        functions = [FunctionTable((0, 1), np.full((2, 2), 1e308)) for _ in range(2)]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                ve_argmax(functions, (1, 0))
+            with pytest.raises(ValueError, match="overflow"):
+                ve_via_messages(agents_holding(functions), (1, 0), 0)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_nonfinite_table_entry_rejected(self, entry):
+        # Written past local_update, straight into an agent's table.
+        agents = agents_holding([FunctionTable((0, 1), np.zeros((2, 2))) for _ in range(2)])
+        agents[1].local_q.table(0)[1, 0] = entry
+        with pytest.raises(ValueError, match="not finite"):
+            ve_via_messages(agents, (1, 0), 0)

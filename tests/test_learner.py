@@ -63,6 +63,21 @@ class TestLocalUpdate:
         with pytest.raises(ValueError):
             local_update(q, "missing", (0,), 1.0, 0, (0,), LearningParams())
 
+    @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_reward_rejected(self, reward):
+        q = make_q(scope=(3,))
+        with pytest.raises(ValueError, match="agent 3"):
+            local_update(q, 0, (1,), reward, 0, (0,), LearningParams())
+        assert np.all(q.table(0) == 0)
+
+    def test_overflowing_update_rejected(self):
+        # 1e308 + 0.9 * 1.7e308 overflows to inf
+        q = make_q()
+        q.table(0)[0] = 1.7e308
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="agent 0"):
+            local_update(q, 0, (1,), 1e308, 0, (0,), LearningParams(alpha=1.0, gamma=0.9))
+        assert q.table(0)[1] == 0.0
+
     def test_bounded_iterates(self):
         # zero-init, |r| <= B  ==>  |Q| <= B / (1 - gamma) at all times
         rng = np.random.default_rng(4)
@@ -189,6 +204,12 @@ class TestParamsAndTables:
         assert set(q.tables) == {"a", "b"}
         assert np.all(q.table("a") == 0)
         assert q.table("a").shape == (3, 3)
+
+    def test_given_tables_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            LocalQ(agent=0, scope=(0,), n_actions=(3,), tables={0: np.zeros(2)})
+        with pytest.raises(ValueError, match="finite"):
+            LocalQ(agent=0, scope=(0,), n_actions=(2,), tables={0: np.array([0.0, np.nan])})
 
     def test_as_function_table_is_view(self):
         q = make_q(scope=(0, 1), n=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coopa import radio
-from coopa.coordgraph import ve_argmax
+from coopa.coordgraph import compiled_plan, ve_argmax
 from coopa.learner import LearningParams
 from coopa.runtime import (
     Agent,
@@ -276,6 +276,14 @@ class TestTrain:
         cfg = radio.two_cell_config(0.0, n_power=3)
         agents = build_agents(cfg, scopes=[(0, 1), (0, 1)])
         assert all(a.local_q.scope == (0, 1) for a in agents)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_compiles_one_plan_per_call(self, parallel):
+        compiled_plan.cache_clear()
+        cfg = radio.two_cell_config(0.3, n_power=3)
+        train(cfg, LearningParams(), episodes=5, seed=0, parallel=parallel)
+        info = compiled_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * 5 - 1)
 
     def test_needs_at_least_one_episode(self):
         cfg = radio.two_cell_config(0.3, n_power=3)
