@@ -49,9 +49,10 @@ print(f"brute force:  action {bf_action}, value {bf_value}")
 # The same computation as explicit message passing between agents, with
 # each agent holding its own table. The log shows the choreography: the
 # about-to-be-eliminated agent gathers tables (ShareQ), forwards its
-# conditional table along the induced edge (FFunction), and actions are
-# recovered by a reverse chain of Assignment messages. Both versions run
-# one compiled EliminationPlan, so their values agree bit for bit.
+# conditional table along the induced edge (FFunction), and the recovered
+# actions travel back along a reverse chain of Assignment messages. Both
+# versions are one run of the same compiled EliminationPlan, so their
+# values agree bit for bit.
 agents = []
 for j, scope in enumerate(scopes):
     q = LocalQ(agent=j, scope=scope, n_actions=(2, 2))

@@ -8,7 +8,6 @@ Closed-form and brute-force oracles verify optimality at desk scale.
 
 from .coordgraph import (
     CoordinationGraph,
-    EliminationRecord,
     FunctionTable,
     brute_force_argmax,
     default_elimination_order,
@@ -42,7 +41,6 @@ from .runtime import (
     InMemoryBus,
     RewardFeedback,
     ShareQ,
-    Transport,
     build_agents,
     greedy_joint_action,
     run_episode,
@@ -59,7 +57,6 @@ __all__ = [
     "Allocation",
     "Assignment",
     "CoordinationGraph",
-    "EliminationRecord",
     "EpisodeTrace",
     "FFunction",
     "FunctionTable",
@@ -69,7 +66,6 @@ __all__ = [
     "NetworkConfig",
     "RewardFeedback",
     "ShareQ",
-    "Transport",
     "brute_force_argmax",
     "brute_force_grid_optimum",
     "build_action_grid",

@@ -86,10 +86,14 @@ class ExperimentConfig:
         n = len(self.gains)
         mat = np.full((n, n), b)
         np.fill_diagonal(mat, 0.0)
+        try:
+            noise_mw = radio.dbm_to_mw(self.noise_dbm)
+        except ValueError as exc:
+            raise ValueError(f"noise_dbm: {exc}") from None
         return radio.NetworkConfig(
             gain=np.array(self.gains),
             beta=mat,
-            noise_mw=radio.dbm_to_mw(self.noise_dbm),
+            noise_mw=noise_mw,
             p_max_dbm=np.array(self.p_max_dbm),
             n_power=self.n_power,
         )
@@ -150,7 +154,7 @@ def parse_beta_range(spec: str) -> tuple[float, ...]:
         if ":" in spec:
             start_s, stop_s, step_s = spec.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0 or stop < start:
+            if not np.all(np.isfinite((start, stop, step))) or step <= 0 or stop < start:
                 raise ValueError
             count = int(np.floor((stop - start) / step + 1e-9)) + 1
             return tuple(round(start + k * step, 12) for k in range(count))
@@ -164,16 +168,20 @@ def parse_beta_range(spec: str) -> tuple[float, ...]:
 def _parse_value(kind: str, raw: str, where: str):
     try:
         if kind == "float":
-            return float(raw)
-        if kind == "int":
+            value = float(raw)
+        elif kind == "float_list":
+            value = tuple(float(v) for v in raw.split(","))
+        elif kind == "int":
             return int(raw)
-        if kind == "float_list":
-            return tuple(float(v) for v in raw.split(","))
-        if kind == "beta_range":
+        elif kind == "beta_range":
             return parse_beta_range(raw)
-        return raw
+        else:
+            return raw
     except ValueError:
         raise ConfigParseError(f"{where}: cannot parse {raw!r} as {kind}") from None
+    if not np.all(np.isfinite(value)):
+        raise ConfigValueError(f"{where} must be finite, got {raw!r}")
+    return value
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:

@@ -4,16 +4,17 @@ A set of real-valued tables, each scoped to a few agents, defines a global
 objective sum_k f_k(a_scope_k). Variable elimination maximizes this sum
 exactly by removing one agent at a time: all tables mentioning that agent
 are collapsed into a conditional-value table (f) and a best-response table
-(b) over the remaining agents. A reverse pass over the recorded b tables
-recovers the optimal joint action. A brute-force enumerator provides the
-testing oracle.
+(b) over the remaining agents. A reverse pass over the b tables recovers
+the optimal joint action. A brute-force enumerator provides the testing
+oracle.
 
 Everything about an elimination except the arithmetic depends only on the
 tables' scopes, the agents' action-set sizes and the order: which tables
 each step sums, the scope it leaves, how each table's axes line up with
 the step's joint table, and which agent receives the result. An
 EliminationPlan works that out, and validates it, once; running the plan
-on new table values then only does the arithmetic. compiled_plan keeps
+on new table values then only does the arithmetic, and every exact
+maximization here is one run of a plan. compiled_plan keeps
 recent plans keyed on what they are built from, so a training loop that
 maximizes the same graph every episode compiles it once and replays it.
 Tables the kernel derives skip FunctionTable's validation; each
@@ -38,7 +39,6 @@ import numpy as np
 __all__ = [
     "FunctionTable",
     "CoordinationGraph",
-    "EliminationRecord",
     "EliminationPlan",
     "compiled_plan",
     "eliminate_agent",
@@ -100,35 +100,13 @@ class FunctionTable:
 
 
 @dataclass(frozen=True)
-class EliminationRecord:
-    """What one elimination step leaves behind for the recovery pass.
-
-    f holds the conditional maxima over the remaining scope, b the action
-    index of the eliminated agent achieving each of them.
-    """
-
-    agent: int
-    f: FunctionTable
-    b: FunctionTable
-
-    def __post_init__(self):
-        if self.f.scope != self.b.scope:
-            raise ValueError("f and b must share an identical scope")
-
-    def respond(self, assignment: dict[int, int]) -> int:
-        """The eliminated agent's best action given its scope's actions."""
-        return int(self.b.values[tuple(assignment[a] for a in self.b.scope)])
-
-
-@dataclass(frozen=True)
 class CoordinationGraph:
-    """Agents, the scopes of their local functions, and an elimination order.
+    """Agents and the scopes of their local functions.
 
     Two agents are neighbors when they appear together in some scope.
     """
 
     scopes: tuple[tuple[int, ...], ...]
-    elimination_order: tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         scopes = tuple(tuple(int(a) for a in s) for s in self.scopes)
@@ -137,15 +115,6 @@ class CoordinationGraph:
             raise ValueError("every local function needs a nonempty scope")
         agents = sorted(set(itertools.chain.from_iterable(scopes)))
         object.__setattr__(self, "agents", tuple(agents))
-        if self.elimination_order is None:
-            object.__setattr__(self, "elimination_order", tuple(reversed(agents)))
-        else:
-            order = tuple(int(a) for a in self.elimination_order)
-            object.__setattr__(self, "elimination_order", order)
-            if sorted(order) != agents:
-                raise ValueError(
-                    f"elimination order {order} is not a permutation of agents {agents}"
-                )
 
     @property
     def n_agents(self) -> int:
@@ -227,13 +196,13 @@ class Layout(NamedTuple):
     rows: np.ndarray
 
 
-def _layout(scopes, sizes: dict[int, int], agent: int, max_induced_scope: int) -> Layout:
+def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
     remaining = sorted(set(itertools.chain.from_iterable(scopes)))
     remaining.remove(agent)
-    if len(remaining) > max_induced_scope:
+    if len(remaining) > MAX_INDUCED_SCOPE:
         raise ValueError(
             f"eliminating agent {agent} would induce a table over {len(remaining)} "
-            f"agents (limit {max_induced_scope})"
+            f"agents (limit {MAX_INDUCED_SCOPE})"
         )
     joint = (*remaining, agent)
     joint_shape = tuple(sizes[a] for a in joint)
@@ -243,11 +212,7 @@ def _layout(scopes, sizes: dict[int, int], agent: int, max_induced_scope: int) -
 
 
 def eliminate_agent(
-    functions,
-    agent: int,
-    max_induced_scope: int = MAX_INDUCED_SCOPE,
-    *,
-    layout: Layout | None = None,
+    functions, agent: int, *, layout: Layout | None = None
 ) -> tuple[FunctionTable, FunctionTable, tuple[FunctionTable, ...]]:
     """Maximize the sum of all tables mentioning `agent` over its action.
 
@@ -268,7 +233,7 @@ def eliminate_agent(
             raise ValueError(f"agent {agent} appears in no function scope")
         scopes = [fn.scope for fn in involved]
         sizes = _action_sizes(scopes, [fn.values.shape for fn in involved])
-        layout = _layout(scopes, sizes, agent, max_induced_scope)
+        layout = _layout(scopes, sizes, agent)
         functions = involved
     else:
         untouched = ()
@@ -320,14 +285,7 @@ class EliminationPlan:
     must then be exactly the agents in the scopes.
     """
 
-    def __init__(
-        self,
-        scopes,
-        shapes,
-        order,
-        owners=None,
-        max_induced_scope: int = MAX_INDUCED_SCOPE,
-    ):
+    def __init__(self, scopes, shapes, order, owners=None):
         scopes = tuple(tuple(int(a) for a in s) for s in scopes)
         shapes = tuple(tuple(int(n) for n in s) for s in shapes)
         order = tuple(int(a) for a in order)
@@ -355,7 +313,7 @@ class EliminationPlan:
         for agent in order:
             gather = [(k, s) for k, s in live if agent in s]
             live = [(k, s) for k, s in live if agent not in s]
-            layout = _layout([s for _, s in gather], sizes, agent, max_induced_scope)
+            layout = _layout([s for _, s in gather], sizes, agent)
             birth = len(scopes) + len(steps)
             if layout.remaining:
                 target = min(layout.remaining, key=position.__getitem__)
@@ -372,24 +330,31 @@ class EliminationPlan:
         self.steps = tuple(steps)
         self.finished = tuple(finished)
 
-    def run(self, tables) -> tuple[list[EliminationRecord], float]:
-        """Eliminate every agent from `tables`, one per input birth.
+    def run(self, tables) -> tuple[dict[int, int], float, list[FunctionTable]]:
+        """Maximize the sum of `tables`, one per input birth.
 
-        Returns one record per step and the summed value of the finished
-        components. The caller makes sure the tables fit the plan.
+        Eliminates every agent in order, sums the finished components'
+        values, then walks the steps in reverse, giving each agent its
+        best response to the agents already decided. Returns the joint
+        action {agent: action index}, keyed in that reverse order, the
+        attained value, and each step's conditional-value table. The
+        caller makes sure the tables fit the plan.
         """
         born = list(tables)
-        records = []
+        best = []
         for step in self.steps:
             f, b, _ = eliminate_agent(
                 [born[k] for k in step.gather], step.agent, layout=step.layout
             )
             born.append(f)
-            records.append(EliminationRecord(agent=step.agent, f=f, b=b))
+            best.append(b)
         value = 0.0
         for k in self.finished:
             value += float(born[k].values)
-        return records, value
+        assignment: dict[int, int] = {}
+        for step, b in zip(reversed(self.steps), reversed(best)):
+            assignment[step.agent] = int(b.values[tuple(assignment[a] for a in b.scope)])
+        return assignment, value, born[len(tables):]
 
 
 @functools.lru_cache(maxsize=64)
@@ -398,7 +363,6 @@ def compiled_plan(
     shapes: tuple[tuple[int, ...], ...],
     order: tuple[int, ...],
     owners: tuple[int, ...] | None = None,
-    max_induced_scope: int = MAX_INDUCED_SCOPE,
 ) -> EliminationPlan:
     """The EliminationPlan for these arguments, built on first use.
 
@@ -406,20 +370,15 @@ def compiled_plan(
     plans are kept, and an equal call returns the same plan object, so
     callers must not change it.
     """
-    return EliminationPlan(scopes, shapes, order, owners, max_induced_scope)
+    return EliminationPlan(scopes, shapes, order, owners)
 
 
-def ve_argmax(
-    functions,
-    order,
-    max_induced_scope: int = MAX_INDUCED_SCOPE,
-) -> tuple[dict[int, int], float]:
+def ve_argmax(functions, order) -> tuple[dict[int, int], float]:
     """Exact max-sum over a set of scoped tables via variable elimination.
 
-    Eliminates agents in `order`, stacking one EliminationRecord per step,
-    then replays the records in reverse to assign each agent its recorded
-    best response given the agents already decided. Returns the optimal
-    joint action as {agent: action index} and the attained value.
+    Eliminates agents in `order`, then recovers each agent's best response
+    in reverse order (EliminationPlan.run). Returns the optimal joint
+    action as {agent: action index} and the attained value.
 
     `order` must be a permutation of exactly the agents appearing in the
     scopes. The plan comes from compiled_plan, so repeated calls on tables
@@ -430,13 +389,8 @@ def ve_argmax(
         tuple(fn.scope for fn in functions),
         tuple(fn.values.shape for fn in functions),
         tuple(order),
-        max_induced_scope=max_induced_scope,
     )
-    records, value = plan.run(functions)
-    assignment: dict[int, int] = {}
-    for rec in reversed(records):
-        assignment[rec.agent] = rec.respond(assignment)
-    return assignment, value
+    return plan.run(functions)[:2]
 
 
 def brute_force_argmax(functions) -> tuple[dict[int, int], float]:

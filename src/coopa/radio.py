@@ -25,8 +25,14 @@ __all__ = [
 
 
 def dbm_to_mw(x: float) -> float:
-    """Convert a power from dBm to milliwatts: 10^(x/10)."""
-    return 10.0 ** (x / 10.0)
+    """Convert a power from dBm to milliwatts: 10^(x/10).
+
+    Raises ValueError when the result is too large for a float.
+    """
+    try:
+        return 10.0 ** (float(x) / 10.0)  # a float, not numpy's, raises on overflow
+    except OverflowError:
+        raise ValueError(f"{x} dBm is too large to express in mW") from None
 
 
 def mw_to_dbm(p: float) -> float:
@@ -78,6 +84,11 @@ class NetworkConfig:
         ):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.p_max_mw)):
+                raise ValueError(
+                    f"p_max_dbm: {float(p_max.max())} dBm is too large to express in mW"
+                )
         if np.any(gain <= 0):
             raise ValueError("gain: channel gains must be positive")
         if self.noise_mw <= 0:

@@ -1,7 +1,7 @@
 """Multi-agent episode loop with coordination over a simulated backhaul.
 
-Each transmitter is an agent owning its local Q-table and a mailbox. Joint
-actions are selected by running variable elimination as an explicit message
+Each transmitter is an agent owning its local Q-table. Joint actions are
+selected by variable elimination carried out as an explicit message
 choreography: an agent about to be eliminated gathers every live function
 mentioning its variable, collapses them, keeps the best-response table,
 and forwards the conditional-value table to whichever of the surviving
@@ -14,7 +14,9 @@ The choreography depends only on the graph, the action sizes and the
 elimination order, none of which change during training: it is compiled
 into a coordgraph.EliminationPlan at a training run's first elimination,
 and every later one replays that schedule (coordgraph.compiled_plan) on
-the current table values.
+the current table values. The plan's one run computes every message's
+content, so the backhaul only checks, counts and logs what is sent; it
+does not deliver.
 
 Everything is deterministic under a fixed seed, regardless of scheduling.
 """
@@ -22,17 +24,14 @@ Everything is deterministic under a fixed seed, regardless of scheduling.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import radio
 from .coordgraph import (
-    MAX_INDUCED_SCOPE,
     CoordinationGraph,
-    EliminationRecord,
     FunctionTable,
     compiled_plan,
     default_elimination_order,
@@ -46,7 +45,6 @@ __all__ = [
     "FFunction",
     "Assignment",
     "RewardFeedback",
-    "Transport",
     "InMemoryBus",
     "Agent",
     "EpisodeTrace",
@@ -60,42 +58,36 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ShareQ:
+class _InterAgent:
+    """A message from one agent to another."""
+
+    sender: int
+    recipient: int
+
+    def __post_init__(self):
+        if self.sender == self.recipient:
+            raise ValueError("inter-agent message must have sender != recipient")
+
+
+@dataclass(frozen=True)
+class ShareQ(_InterAgent):
     """A local Q-table shared with the agent about to be eliminated."""
 
-    sender: int
-    recipient: int
     table: FunctionTable
-
-    def __post_init__(self):
-        if self.sender == self.recipient:
-            raise ValueError("inter-agent message must have sender != recipient")
 
 
 @dataclass(frozen=True)
-class FFunction:
+class FFunction(_InterAgent):
     """A conditional-value table forwarded after eliminating one agent."""
 
-    sender: int
-    recipient: int
     table: FunctionTable
-
-    def __post_init__(self):
-        if self.sender == self.recipient:
-            raise ValueError("inter-agent message must have sender != recipient")
 
 
 @dataclass(frozen=True)
-class Assignment:
+class Assignment(_InterAgent):
     """Partial joint action flowing back along the recovery chain."""
 
-    sender: int
-    recipient: int
     actions: dict
-
-    def __post_init__(self):
-        if self.sender == self.recipient:
-            raise ValueError("inter-agent message must have sender != recipient")
 
 
 @dataclass(frozen=True)
@@ -106,51 +98,32 @@ class RewardFeedback:
     sinr: float
 
 
-class Transport:
-    """Reliable, in-order message delivery between agents."""
+class InMemoryBus:
+    """Process-local backhaul: the protocol's send side, with no delivery.
 
-    def send(self, msg) -> None:
-        raise NotImplementedError
-
-    def drain(self, agent_id: int) -> list:
-        raise NotImplementedError
-
-
-class InMemoryBus(Transport):
-    """Process-local backhaul routing into per-agent FIFO mailboxes.
-
-    Counts every message; optionally keeps the full log for inspection.
-    A closed bus refuses further sends.
+    Every message's content is known when it is sent, so nothing is
+    queued. A send must name a registered agent and the bus must be open;
+    each one is counted, and kept in `log` when recording.
     """
 
     def __init__(self, record: bool = False):
-        self._mailboxes: dict[int, deque] = {}
+        self._agents: set[int] = set()
         self.sent_count = 0
         self.closed = False
         self.log: list | None = [] if record else None
 
     def register(self, agent_id: int) -> None:
-        self._mailboxes.setdefault(agent_id, deque())
+        self._agents.add(agent_id)
 
     def send(self, msg) -> None:
         if self.closed:
             raise RuntimeError("backhaul bus is closed")
         recipient = msg.agent if isinstance(msg, RewardFeedback) else msg.recipient
-        if recipient not in self._mailboxes:
+        if recipient not in self._agents:
             raise RuntimeError(f"unreachable agent {recipient}")
-        self._mailboxes[recipient].append(msg)
         self.sent_count += 1
         if self.log is not None:
             self.log.append(msg)
-
-    def drain(self, agent_id: int) -> list:
-        if agent_id not in self._mailboxes:
-            raise RuntimeError(f"unreachable agent {agent_id}")
-        box = self._mailboxes[agent_id]
-        out = []
-        while box:
-            out.append(box.popleft())
-        return out
 
     def close(self) -> None:
         self.closed = True
@@ -158,13 +131,12 @@ class InMemoryBus(Transport):
 
 @dataclass(eq=False)
 class Agent:
-    """One transmitter: identity, local Q-table, power levels, mailbox state."""
+    """One transmitter: identity, local Q-table, power levels, last assigned action."""
 
     id: int
     local_q: LocalQ
     levels: np.ndarray  # this agent's transmit power grid, mW
     assigned: int | None = None
-    retained: EliminationRecord | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.local_q.agent != self.id:
@@ -189,18 +161,15 @@ class EpisodeTrace:
 
 
 def ve_via_messages(
-    agents,
-    order,
-    state,
-    bus: Transport | None = None,
-    max_induced_scope: int = MAX_INDUCED_SCOPE,
+    agents, order, state, bus: InMemoryBus | None = None
 ) -> tuple[dict[int, int], float]:
     """Joint action selection by variable elimination over the bus.
 
     Returns the optimal joint action {agent id: action index} and its
-    value; both match coordgraph.ve_argmax applied to the agents' state
-    tables (taken in the order the agents are given) bit for bit, because
-    both run the same EliminationPlan.
+    value, and sets each agent's `assigned`; both match coordgraph.ve_argmax
+    applied to the agents' state tables (taken in the order the agents are
+    given) bit for bit, because both are one run of the same
+    EliminationPlan.
 
     Elimination pass: every surviving agent ShareQ-sends its local table
     to the agent being eliminated if that table mentions it; conditional
@@ -209,56 +178,39 @@ def ve_via_messages(
     is eliminated soonest. The eliminated agent keeps its best-response
     table for the recovery pass. The conditional table of the last agent
     has an empty scope: the global maximum. Recovery pass: Assignment
-    messages chain through the reversed order, each agent appending the
-    action its retained table prescribes given the choices made so far.
+    messages chain through the reversed order, each carrying the actions
+    decided so far; the k-th carries the first k entries of the returned
+    joint action.
 
-    The plan fixes every step's tables, so the arithmetic runs first and
-    the bus then carries the elimination pass's traffic in protocol
-    order. The plan is compiled once per set of scopes, table shapes,
-    agent ids and order, and replayed on later calls.
+    The plan's run computes the content of every message, so the bus then
+    carries the traffic of both passes in protocol order. The plan is
+    compiled once per set of scopes, table shapes, agent ids and order,
+    and replayed on later calls.
     """
     agents = list(agents)
     tables = [a.local_q.as_function_table(state) for a in agents]
-    owners = tuple(a.id for a in agents)
     plan = compiled_plan(
         tuple(t.scope for t in tables),
         tuple(t.values.shape for t in tables),
         tuple(order),
-        owners,
-        max_induced_scope,
+        tuple(a.id for a in agents),
     )
     if bus is None:
         bus = InMemoryBus()
         for a in agents:
             bus.register(a.id)
 
-    records, value = plan.run(tables)
-    by_id = dict(zip(owners, agents))
-    for step, rec in zip(plan.steps, records):
+    assignment, value, conditionals = plan.run(tables)
+    for step, f in zip(plan.steps, conditionals):
         for sender, birth in step.senders:
             bus.send(ShareQ(sender, step.agent, tables[birth]))
-        # The plan already gathered what sits in the mailbox: this step's
-        # ShareQ tables and the conditional tables forwarded here earlier.
-        bus.drain(step.agent)
-        by_id[step.agent].retained = rec
         if step.target is not None:
-            bus.send(FFunction(step.agent, step.target, rec.f))
-
-    recovery = plan.order[::-1]
-    assignment: dict[int, int] = {}
-    for k, agent_id in enumerate(recovery):
-        me = by_id[agent_id]
-        partial: dict[int, int] = {}
-        if k > 0:
-            for msg in bus.drain(agent_id):
-                if isinstance(msg, Assignment):
-                    partial.update(msg.actions)
-        choice = me.retained.respond(partial)
-        me.assigned = choice
-        partial[agent_id] = choice
-        if k + 1 < len(recovery):
-            bus.send(Assignment(agent_id, recovery[k + 1], dict(partial)))
-        assignment = partial
+            bus.send(FFunction(step.agent, step.target, f))
+    decided = list(assignment.items())
+    for k in range(1, len(decided)):
+        bus.send(Assignment(decided[k - 1][0], decided[k][0], dict(decided[:k])))
+    for a in agents:
+        a.assigned = assignment[a.id]
     return assignment, value
 
 
@@ -308,7 +260,7 @@ def run_episode(
     episode: int,
     rng,
     order,
-    bus: Transport | None = None,
+    bus: InMemoryBus | None = None,
     state=0,
     parallel: bool = False,
 ) -> EpisodeTrace:
@@ -334,15 +286,15 @@ def run_episode(
     }
     powers = np.array([a.levels[taken[a.id]] for a in agents])
 
+    rewards = []
     for a in agents:
-        bus.send(RewardFeedback(agent=a.id, sinr=radio.sinr(a.id, powers, cfg)))
-
-    def observe(agent: Agent) -> float:
-        (msg,) = [m for m in bus.drain(agent.id) if isinstance(m, RewardFeedback)]
-        return float(np.log2(1.0 + msg.sinr))
+        feedback = RewardFeedback(agent=a.id, sinr=radio.sinr(a.id, powers, cfg))
+        bus.send(feedback)
+        rewards.append(float(np.log2(1.0 + feedback.sinr)))
 
     # Stateless channel: the next state is the same state.
     state_next = state
+    a_greedy, _ = ve_via_messages(agents, order, state_next, bus)
 
     def update(agent_reward: tuple[Agent, float]) -> None:
         agent, reward = agent_reward
@@ -358,12 +310,8 @@ def run_episode(
 
     if parallel and len(agents) > 1:
         with ThreadPoolExecutor(max_workers=len(agents)) as pool:
-            rewards = list(pool.map(observe, agents))
-            a_greedy, _ = ve_via_messages(agents, order, state_next, bus)
             list(pool.map(update, zip(agents, rewards)))
     else:
-        rewards = [observe(a) for a in agents]
-        a_greedy, _ = ve_via_messages(agents, order, state_next, bus)
         for pair in zip(agents, rewards):
             update(pair)
 

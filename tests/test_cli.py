@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,22 @@ class TestCommandLine:
         rc = cli.main(["run", "--config", str(tmp_path / "nope.ini")])
         assert rc == 2
         assert "error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line, named", [
+        ("noise_dbm = inf", "[network] noise_dbm"),
+        ("gains = 2.5, nan", "[network] gains"),
+        ("noise_dbm = 4000", "[network] noise_dbm"),
+        ("p_max_dbm = 10, 4000", "[network] p_max_dbm"),
+    ])
+    def test_unusable_network_value_fails_before_training(self, tmp_path, capsys, line, named):
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[network]\n{line}\n")
+        with pytest.raises(cli.ConfigError, match=re.escape(named)):
+            cli.load_config(config)
+        rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert named in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
     def test_bad_value_reports_error(self, tmp_path, capsys):
         config = tmp_path / "exp.ini"

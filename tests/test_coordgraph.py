@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coopa.coordgraph import (
+    MAX_INDUCED_SCOPE,
     CoordinationGraph,
     FunctionTable,
     brute_force_argmax,
@@ -17,7 +18,7 @@ from coopa.coordgraph import (
     ve_argmax,
 )
 from coopa.learner import LocalQ
-from coopa.runtime import Agent, InMemoryBus, ve_via_messages
+from coopa.runtime import Agent, Assignment, InMemoryBus, ve_via_messages
 
 # Fixed examples, so the suite is deterministic and its run time bounded.
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -106,10 +107,14 @@ class TestEliminateAgent:
         assert untouched == (b_,)
 
     def test_induced_scope_guard(self):
-        # eliminating 0 would leave a table over 3 agents; cap at 2
-        fns = [FunctionTable((0, k), np.zeros((2, 2))) for k in (1, 2, 3)]
-        with pytest.raises(ValueError):
-            eliminate_agent(fns, 0, max_induced_scope=2)
+        # eliminating a star's center leaves a table over all its leaves
+        def star(leaves):
+            return [FunctionTable((0, k), np.zeros((2, 2))) for k in range(1, leaves + 1)]
+
+        f, _, _ = eliminate_agent(star(MAX_INDUCED_SCOPE), 0)
+        assert len(f.scope) == MAX_INDUCED_SCOPE
+        with pytest.raises(ValueError, match="limit"):
+            eliminate_agent(star(MAX_INDUCED_SCOPE + 1), 0)
 
     def test_induced_scope_is_neighbor_union(self):
         # paper-style square graph: eliminating one corner joins its two
@@ -272,12 +277,6 @@ class TestTables:
         with pytest.raises(ValueError):
             CoordinationGraph(((),))
 
-    def test_graph_order_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            CoordinationGraph(((1, 2),), elimination_order=(1, 1))
-        g = CoordinationGraph(((1, 2),), elimination_order=(1, 2))
-        assert g.elimination_order == (1, 2)
-
     def test_graph_edges_and_neighbors(self):
         g = CoordinationGraph(((1, 2), (2, 4), (1, 3), (3, 4)))
         assert g.n_agents == 4
@@ -337,11 +336,17 @@ def agents_holding(functions):
 
 def logged_ve(agents, order):
     """ve_via_messages on a fresh recording bus: (action, value, log), the
-    log as (kind, sender, recipient, payload scope or actions) per message."""
+    log as (kind, sender, recipient, payload scope or actions) per message.
+
+    Checks that the k-th Assignment carries the first k entries of the
+    returned joint action."""
     bus = InMemoryBus(record=True)
     for a in agents:
         bus.register(a.id)
     action, value = ve_via_messages(agents, order, 0, bus)
+    decided = list(action.items())
+    chain = [list(m.actions.items()) for m in bus.log if isinstance(m, Assignment)]
+    assert chain == [decided[:k] for k in range(1, len(decided))]
     log = [
         (type(m).__name__, m.sender, m.recipient, m.actions if hasattr(m, "actions") else m.table.scope)
         for m in bus.log
@@ -373,7 +378,7 @@ class TestProperties:
     def test_messages_equal_in_memory_ve_bit_for_bit(self, instance):
         functions, order, _ = instance
         agents = agents_holding(functions)
-        action, value = ve_via_messages(agents, order, 0)
+        action, value, _ = logged_ve(agents, order)
         expected_action, expected_value = ve_argmax(functions, order)
         assert action == expected_action
         assert repr(value) == repr(expected_value)

@@ -35,6 +35,11 @@ class TestDbmConversion:
         ys = [radio.dbm_to_mw(x) for x in xs]
         assert np.all(np.diff(ys) > 0)
 
+    def test_overflow_is_a_value_error(self):
+        for x in (4000.0, np.float64(4000.0)):
+            with pytest.raises(ValueError, match="too large"):
+                radio.dbm_to_mw(x)
+
     def test_dbm_of_nonpositive_power_rejected(self):
         with pytest.raises(ValueError):
             radio.mw_to_dbm(0.0)

@@ -204,6 +204,48 @@ class TestRunEpisode:
         trace = run_episode(agents, cfg, grid, params, 0, rng, (1, 0), bus)
         assert trace.message_count == 3 + 2 + 3
 
+    def test_square_graph_protocol(self):
+        # One episode on the square graph: each elimination pass sends its
+        # ShareQ/FFunction traffic step by step, then the Assignment chain
+        # in reverse order; feedback sits between the two passes.
+        square = [(0, 1), (1, 3), (0, 2), (2, 3)]
+        beta = np.zeros((4, 4))
+        for i, j in square:
+            beta[i, j] = beta[j, i] = 0.3
+        cfg = radio.NetworkConfig(
+            gain=np.array([2.5, 1.5, 2.5, 1.5]),
+            beta=beta,
+            noise_mw=1.0,
+            p_max_dbm=np.array([10.0, 13.0, 10.0, 13.0]),
+            n_power=3,
+        )
+        grid = radio.build_action_grid(cfg)
+        agents = build_agents(cfg, grid, scopes=square)
+        rng = np.random.default_rng(2)
+        for a in agents:
+            a.local_q.table(0)[...] = rng.uniform(-1, 1, a.local_q.table(0).shape)
+        bus = recording_bus(agents)
+        run_episode(agents, cfg, grid, LearningParams(), 0, rng, (3, 2, 1, 0), bus)
+
+        def protocol(msg):
+            if isinstance(msg, RewardFeedback):
+                return ("RewardFeedback", msg.agent)
+            payload = tuple(msg.actions.items()) if isinstance(msg, Assignment) else msg.table.scope
+            return (type(msg).__name__, msg.sender, msg.recipient, payload)
+
+        elimination = [
+            ("ShareQ", 1, 3, (1, 3)),
+            ("FFunction", 3, 2, (1, 2)),
+            ("FFunction", 2, 1, (0, 1)),
+            ("ShareQ", 0, 1, (0, 1)),
+            ("FFunction", 1, 0, (0,)),
+            ("Assignment", 0, 1, ((0, 1),)),
+            ("Assignment", 1, 2, ((0, 1), (1, 2))),
+            ("Assignment", 2, 3, ((0, 1), (1, 2), (2, 1))),
+        ]
+        feedback = [("RewardFeedback", j) for j in range(4)]
+        assert [protocol(m) for m in bus.log] == elimination + feedback + elimination
+
 
 class TestTrain:
     def test_single_episode(self):
