@@ -53,15 +53,13 @@ print(f"brute force:  action {bf_action}, value {bf_value}")
 # actions travel back along a reverse chain of Assignment messages. Both
 # versions are one run of the same compiled EliminationPlan, so their
 # values agree bit for bit.
-agents = []
-for j, scope in enumerate(scopes):
-    q = LocalQ(agent=j, scope=scope, n_actions=(2, 2))
-    q.tables[0][...] = functions[j].values
-    agents.append(Agent(id=j, local_q=q, levels=np.array([0.0, 1.0])))
-bus = InMemoryBus(record=True)
-for a in agents:
-    bus.register(a.id)
-msg_action, msg_value = ve_via_messages(agents, order, 0, bus)
+agents = [
+    Agent(id=j, local_q=LocalQ(agent=j, scope=fn.scope, n_actions=(2, 2), values=fn.values.copy()),
+          levels=np.array([0.0, 1.0]))
+    for j, fn in enumerate(functions)
+]
+bus = InMemoryBus((a.id for a in agents), record=True)
+msg_action, msg_value = ve_via_messages(agents, order, bus)
 print(f"\nvia messages: action {msg_action}, value {msg_value}")
 print("message log:")
 for msg in bus.log:

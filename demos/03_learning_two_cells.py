@@ -50,7 +50,7 @@ print(f"closed-form optimum:       {tuple(round(p, 4) for p in best.powers_mw)} 
       f"{best.sum_throughput:.4f} bits/s/Hz")
 
 # the learned global Q-surface peaks at the same corner
-q0, q1 = (a.local_q.table(0) for a in agents)
+q0, q1 = (a.local_q.values for a in agents)
 global_q = q0 + q1
 peak = np.unravel_index(global_q.argmax(), global_q.shape)
 print(f"\nglobal Q-table peak at grid indices {tuple(int(i) for i in peak)} "

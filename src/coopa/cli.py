@@ -37,6 +37,9 @@ __all__ = [
 # Elimination order of every training run and of its greedy readout.
 ORDER_STRATEGY = "fixed-reverse"
 
+# Most points a start:stop:step beta range may expand to (0.001 over [0, 1]).
+MAX_BETA_POINTS = 1001
+
 SWEEP_COLUMNS = [
     "beta",
     "qcopa_p1_mw",
@@ -147,7 +150,8 @@ _SCHEMA = {
 def parse_beta_range(spec: str) -> tuple[float, ...]:
     """Parse "start:stop:step" into an inclusive tuple of beta values.
 
-    A bare comma-separated list of values is also accepted.
+    A bare comma-separated list of values is also accepted. A range longer
+    than MAX_BETA_POINTS raises ConfigValueError without being built.
     """
     spec = spec.strip()
     try:
@@ -156,8 +160,12 @@ def parse_beta_range(spec: str) -> tuple[float, ...]:
             start, stop, step = float(start_s), float(stop_s), float(step_s)
             if not np.all(np.isfinite((start, stop, step))) or step <= 0 or stop < start:
                 raise ValueError
-            count = int(np.floor((stop - start) / step + 1e-9)) + 1
-            return tuple(round(start + k * step, 12) for k in range(count))
+            count = np.floor((stop - start) / step + 1e-9) + 1
+            if count > MAX_BETA_POINTS:
+                raise ConfigValueError(
+                    f"beta range {spec!r} has {count:.0f} points, more than {MAX_BETA_POINTS}"
+                )
+            return tuple(round(start + k * step, 12) for k in range(int(count)))
         return tuple(float(v) for v in spec.split(","))
     except ValueError:
         raise ConfigParseError(
@@ -179,6 +187,8 @@ def _parse_value(kind: str, raw: str, where: str):
             return raw
     except ValueError:
         raise ConfigParseError(f"{where}: cannot parse {raw!r} as {kind}") from None
+    except ConfigError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
     if not np.all(np.isfinite(value)):
         raise ConfigValueError(f"{where} must be finite, got {raw!r}")
     return value
@@ -192,6 +202,8 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
             f"[network] gains has {len(config.gains)} entries but "
             f"p_max_dbm has {len(config.p_max_dbm)}"
         )
+    if any(g <= 0 for g in config.gains):
+        raise ConfigValueError("[network] gains: channel gains must be positive")
     for section, build in (("network", config.network), ("learning", lambda: config.learning(1))):
         try:
             build()
@@ -293,7 +305,7 @@ def run_sweep(config: ExperimentConfig, path=None) -> str:
     return path
 
 
-def export_q_surface(agents, path, state=0) -> str:
+def export_q_surface(agents, path) -> str:
     """Write the learned global Q over the two-dimensional power grid.
 
     One row per joint power pair: p1_mw, p2_mw, and the sum of both local
@@ -311,7 +323,7 @@ def export_q_surface(agents, path, state=0) -> str:
             for j in range(second.n_actions):
                 joint = {first.id: i, second.id: j}
                 q = sum(
-                    float(a.local_q.table(state)[a.local_q.slice_joint(joint)])
+                    float(a.local_q.values[a.local_q.slice_joint(joint)])
                     for a in agents
                 )
                 writer.writerow(
@@ -363,7 +375,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_with_overrides(args)
     if args.betas is not None:
-        config = replace(config, betas=parse_beta_range(args.betas))
+        config = replace(config, betas=_parse_value("beta_range", args.betas, "--betas"))
         _validate(config)
     path = run_sweep(config)
     print(f"wrote {path}")

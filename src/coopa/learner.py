@@ -1,14 +1,13 @@
 """Per-agent tabular Q-learning: local tables, the decomposed update, exploration.
 
-Each agent owns one table per state over the joint actions of its scope
-(itself plus the agents it coordinates with). The update writes a single
-entry using the reward the agent observed and the bootstrap value of the
-scoped slice of the jointly-greedy action, which the coordinator supplies.
+Each agent owns one table (the channel is stateless) over the joint actions
+of its scope: itself plus the agents it coordinates with. The update writes
+one entry from the observed reward and the bootstrap value of the scoped
+slice of the jointly-greedy action, which the coordinator supplies.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -46,17 +45,17 @@ class LearningParams:
 
 @dataclass
 class LocalQ:
-    """State-indexed Q-table of one agent over its scope's joint actions.
+    """Q-table of one agent over its scope's joint actions.
 
     n_actions gives the action-set size of each scope agent, in scope
-    order. Tables start at zero for every state.
+    order. The table starts at zero unless values are given, which are
+    held as a float array.
     """
 
     agent: int
     scope: tuple[int, ...]
     n_actions: tuple[int, ...]
-    states: tuple = (0,)
-    tables: dict = field(default=None, repr=False)  # type: ignore[assignment]
+    values: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.scope = tuple(int(a) for a in self.scope)
@@ -65,24 +64,25 @@ class LocalQ:
             raise ValueError(f"scope {self.scope} must contain the owner {self.agent}")
         if len(self.n_actions) != len(self.scope):
             raise ValueError("n_actions must give one size per scope agent")
-        if self.tables is None:
-            self.tables = {x: np.zeros(self.n_actions) for x in self.states}
-        for x, tab in self.tables.items():
-            if np.shape(tab) != self.n_actions:
-                raise ValueError(
-                    f"table for state {x!r} has shape {np.shape(tab)}, expected {self.n_actions}"
-                )
-            if not np.all(np.isfinite(tab)):
-                raise ValueError(f"table for state {x!r} of agent {self.agent} must be finite")
+        if self.values is None:
+            self.values = np.zeros(self.n_actions)
+        self.values = np.asarray(self.values, dtype=float)
+        if np.shape(self.values) != self.n_actions:
+            raise ValueError(
+                f"table has shape {np.shape(self.values)}, expected {self.n_actions}"
+            )
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"table of agent {self.agent} must be finite")
 
     def table(self, state) -> np.ndarray:
-        try:
-            return self.tables[state]
-        except KeyError:
-            raise ValueError(f"unknown state {state!r} for agent {self.agent}") from None
+        """The table; state must be 0 and stays only for bench/workloads.py."""
+        if state != 0:
+            raise ValueError(f"unknown state {state!r} for agent {self.agent}")
+        return self.values
 
     def as_function_table(self, state) -> FunctionTable:
-        """View of this state's table for variable elimination (no copy).
+        """View of the table for variable elimination (no copy); state must
+        be 0 and stays only for bench/workloads.py.
 
         Not validated again: the table was checked at construction and
         local_update writes only finite entries.
@@ -93,35 +93,22 @@ class LocalQ:
         """Restrict a joint action {agent: index} to this scope, in order."""
         return tuple(joint[a] for a in self.scope)
 
-    def write_csv(self, path) -> None:
-        """Dump the table, one row per state and scoped joint action."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state"] + [f"a{a}" for a in self.scope] + ["q"])
-            for state in self.states:
-                tab = self.tables[state]
-                for idx in np.ndindex(tab.shape):
-                    writer.writerow([state, *idx, repr(float(tab[idx]))])
-
 
 def local_update(
     q: LocalQ,
-    x,
     a_j: tuple[int, ...],
     r_j: float,
-    x_next,
     a_star_j: tuple[int, ...],
     params: LearningParams,
-) -> LocalQ:
-    """One-step Q-learning update of a single table entry.
+) -> None:
+    """One-step Q-learning update of a single entry of q's table, in place.
 
-    q(x, a_j) += alpha * (r_j + gamma * q(x_next, a_star_j) - q(x, a_j)),
-    where a_star_j is this agent's scoped slice of the jointly-greedy
-    action. Returns q, whose table was updated in place. Raises
+    q(a_j) += alpha * (r_j + gamma * q(a_star_j) - q(a_j)), where a_star_j
+    is this agent's scoped slice of the jointly-greedy action. Raises
     ValueError, leaving the table as it was, when the new entry would not
     be finite: a NaN or infinite reward, or an overflow.
     """
-    tab = q.table(x)
+    tab = q.values
     a_j = tuple(a_j)
     a_star_j = tuple(a_star_j)
     for action in (a_j, a_star_j):
@@ -129,7 +116,7 @@ def local_update(
             not 0 <= k < n for k, n in zip(action, q.n_actions)
         ):
             raise ValueError(f"invalid scoped action {action} for scope {q.scope}")
-    bootstrap = q.table(x_next)[a_star_j]
+    bootstrap = tab[a_star_j]
     old = tab[a_j]
     new = old + params.alpha * (r_j + params.gamma * bootstrap - old)
     if not math.isfinite(new):
@@ -137,7 +124,6 @@ def local_update(
             f"agent {q.agent}: updating Q{a_j} with reward {r_j!r} gives {float(new)}, not a finite value"
         )
     tab[a_j] = new
-    return q
 
 
 def epsilon_at(episode: int, params: LearningParams) -> float:

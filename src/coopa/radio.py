@@ -161,8 +161,6 @@ class ActionGrid:
 
 def build_action_grid(cfg: NetworkConfig) -> ActionGrid:
     """Linearly spaced power levels from 0 to each agent's cap, inclusive."""
-    if cfg.n_power < 2:
-        raise ValueError(f"n_power must be at least 2, got {cfg.n_power}")
     levels = np.stack([np.linspace(0.0, cap, cfg.n_power) for cap in cfg.p_max_mw])
     return ActionGrid(levels=levels)
 

@@ -1,14 +1,15 @@
 """Multi-agent episode loop with coordination over a simulated backhaul.
 
-Each transmitter is an agent owning its local Q-table. Joint actions are
-selected by variable elimination carried out as an explicit message
-choreography: an agent about to be eliminated gathers every live function
-mentioning its variable, collapses them, keeps the best-response table,
-and forwards the conditional-value table to whichever of the surviving
-scope agents is eliminated next. A reverse chain of assignment messages
-then fixes everyone's action. Per-user SINR comes back as feedback
-messages, and each agent updates its own table; updates touch disjoint
-tables, so they can run concurrently without changing the result.
+Each transmitter is an agent owning one local Q-table (the channel is
+stateless). Joint actions are selected by variable elimination carried
+out as an explicit message choreography: an agent about to be eliminated
+gathers every live function mentioning its variable, collapses them,
+keeps the best-response table, and forwards the conditional-value table
+to whichever of the surviving scope agents is eliminated next. A reverse
+chain of assignment messages then fixes everyone's action. Per-user SINR
+comes back as feedback messages, and each agent updates its own table;
+updates touch disjoint tables, so they can run concurrently without
+changing the result.
 
 The choreography depends only on the graph, the action sizes and the
 elimination order, none of which change during training: it is compiled
@@ -99,25 +100,19 @@ class RewardFeedback:
 
 
 class InMemoryBus:
-    """Process-local backhaul: the protocol's send side, with no delivery.
+    """Process-local backhaul among fixed agents: the send side, no delivery.
 
     Every message's content is known when it is sent, so nothing is
-    queued. A send must name a registered agent and the bus must be open;
-    each one is counted, and kept in `log` when recording.
+    queued. A send must name one of the bus's agents; each one is counted,
+    and kept in `log` when recording.
     """
 
-    def __init__(self, record: bool = False):
-        self._agents: set[int] = set()
+    def __init__(self, agent_ids, record: bool = False):
+        self._agents = frozenset(agent_ids)
         self.sent_count = 0
-        self.closed = False
         self.log: list | None = [] if record else None
 
-    def register(self, agent_id: int) -> None:
-        self._agents.add(agent_id)
-
     def send(self, msg) -> None:
-        if self.closed:
-            raise RuntimeError("backhaul bus is closed")
         recipient = msg.agent if isinstance(msg, RewardFeedback) else msg.recipient
         if recipient not in self._agents:
             raise RuntimeError(f"unreachable agent {recipient}")
@@ -125,18 +120,14 @@ class InMemoryBus:
         if self.log is not None:
             self.log.append(msg)
 
-    def close(self) -> None:
-        self.closed = True
-
 
 @dataclass(eq=False)
 class Agent:
-    """One transmitter: identity, local Q-table, power levels, last assigned action."""
+    """One transmitter: identity, local Q-table, power levels."""
 
     id: int
     local_q: LocalQ
     levels: np.ndarray  # this agent's transmit power grid, mW
-    assigned: int | None = None
 
     def __post_init__(self):
         if self.local_q.agent != self.id:
@@ -161,15 +152,14 @@ class EpisodeTrace:
 
 
 def ve_via_messages(
-    agents, order, state, bus: InMemoryBus | None = None
+    agents, order, bus: InMemoryBus | None = None
 ) -> tuple[dict[int, int], float]:
     """Joint action selection by variable elimination over the bus.
 
     Returns the optimal joint action {agent id: action index} and its
-    value, and sets each agent's `assigned`; both match coordgraph.ve_argmax
-    applied to the agents' state tables (taken in the order the agents are
-    given) bit for bit, because both are one run of the same
-    EliminationPlan.
+    value; both match coordgraph.ve_argmax applied to the agents' tables
+    (taken in the order the agents are given) bit for bit, because both
+    are one run of the same EliminationPlan.
 
     Elimination pass: every surviving agent ShareQ-sends its local table
     to the agent being eliminated if that table mentions it; conditional
@@ -188,7 +178,7 @@ def ve_via_messages(
     and replayed on later calls.
     """
     agents = list(agents)
-    tables = [a.local_q.as_function_table(state) for a in agents]
+    tables = [a.local_q.as_function_table(0) for a in agents]
     plan = compiled_plan(
         tuple(t.scope for t in tables),
         tuple(t.values.shape for t in tables),
@@ -196,9 +186,7 @@ def ve_via_messages(
         tuple(a.id for a in agents),
     )
     if bus is None:
-        bus = InMemoryBus()
-        for a in agents:
-            bus.register(a.id)
+        bus = InMemoryBus(a.id for a in agents)
 
     assignment, value, conditionals = plan.run(tables)
     for step, f in zip(plan.steps, conditionals):
@@ -209,46 +197,30 @@ def ve_via_messages(
     decided = list(assignment.items())
     for k in range(1, len(decided)):
         bus.send(Assignment(decided[k - 1][0], decided[k][0], dict(decided[:k])))
-    for a in agents:
-        a.assigned = assignment[a.id]
     return assignment, value
 
 
 def build_agents(
-    cfg: radio.NetworkConfig,
-    grid: radio.ActionGrid | None = None,
-    scopes=None,
-    states=(0,),
+    cfg: radio.NetworkConfig, grid: radio.ActionGrid | None = None
 ) -> list[Agent]:
     """Create zero-initialized agents for a network.
 
-    By default each agent's scope is itself plus its interferers, the
-    agent-based decomposition induced by the interference model. Pass
-    explicit scopes (one per agent, each containing its owner) to override.
+    Each agent's scope is itself plus its interferers, the agent-based
+    decomposition induced by the interference model.
     """
     if grid is None:
         grid = radio.build_action_grid(cfg)
-    if scopes is None:
-        scopes = [
-            tuple(sorted({j, *cfg.interferers[j]})) for j in range(cfg.n_agents)
-        ]
-    else:
-        scopes = [tuple(int(a) for a in s) for s in scopes]
     agents = []
     for j in range(cfg.n_agents):
-        q = LocalQ(
-            agent=j,
-            scope=scopes[j],
-            n_actions=tuple(grid.n_power for _ in scopes[j]),
-            states=tuple(states),
-        )
+        scope = tuple(sorted({j, *cfg.interferers[j]}))
+        q = LocalQ(agent=j, scope=scope, n_actions=(grid.n_power,) * len(scope))
         agents.append(Agent(id=j, local_q=q, levels=grid.levels[j]))
     return agents
 
 
-def greedy_joint_action(agents, order, state=0) -> tuple[dict[int, int], float]:
+def greedy_joint_action(agents, order) -> tuple[dict[int, int], float]:
     """Greedy joint action of the summed local tables (no exploration)."""
-    tables = [a.local_q.as_function_table(state) for a in agents]
+    tables = [a.local_q.as_function_table(0) for a in agents]
     return ve_argmax(tables, order)
 
 
@@ -260,8 +232,7 @@ def run_episode(
     episode: int,
     rng,
     order,
-    bus: InMemoryBus | None = None,
-    state=0,
+    bus: InMemoryBus,
     parallel: bool = False,
 ) -> EpisodeTrace:
     """One learning episode: select, explore, transmit, feed back, update.
@@ -273,14 +244,10 @@ def run_episode(
     each agent bootstraps on. Both passes replay one compiled plan.
     """
     agents = sorted(agents, key=lambda a: a.id)
-    if bus is None:
-        bus = InMemoryBus()
-        for a in agents:
-            bus.register(a.id)
     sent_before = bus.sent_count
     eps = epsilon_at(episode, params)
 
-    a_star, _ = ve_via_messages(agents, order, state, bus)
+    a_star, _ = ve_via_messages(agents, order, bus)
     taken = {
         a.id: explore_override(a_star[a.id], eps, rng, a.n_actions) for a in agents
     }
@@ -292,21 +259,12 @@ def run_episode(
         bus.send(feedback)
         rewards.append(float(np.log2(1.0 + feedback.sinr)))
 
-    # Stateless channel: the next state is the same state.
-    state_next = state
-    a_greedy, _ = ve_via_messages(agents, order, state_next, bus)
+    a_greedy, _ = ve_via_messages(agents, order, bus)
 
     def update(agent_reward: tuple[Agent, float]) -> None:
         agent, reward = agent_reward
-        local_update(
-            agent.local_q,
-            state,
-            agent.local_q.slice_joint(taken),
-            reward,
-            state_next,
-            agent.local_q.slice_joint(a_greedy),
-            params,
-        )
+        q = agent.local_q
+        local_update(q, q.slice_joint(taken), reward, q.slice_joint(a_greedy), params)
 
     if parallel and len(agents) > 1:
         with ThreadPoolExecutor(max_workers=len(agents)) as pool:
@@ -331,7 +289,6 @@ def train(
     params: LearningParams,
     episodes: int,
     seed: int,
-    scopes=None,
     order_strategy: str = "fixed-reverse",
     parallel: bool = False,
 ) -> tuple[list[Agent], list[EpisodeTrace]]:
@@ -343,12 +300,10 @@ def train(
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
     grid = radio.build_action_grid(cfg)
-    agents = build_agents(cfg, grid, scopes=scopes)
+    agents = build_agents(cfg, grid)
     graph = CoordinationGraph(tuple(a.local_q.scope for a in agents))
     order = default_elimination_order(graph, order_strategy)
-    bus = InMemoryBus()
-    for a in agents:
-        bus.register(a.id)
+    bus = InMemoryBus(a.id for a in agents)
     rng = np.random.default_rng(seed)
     traces = [
         run_episode(agents, cfg, grid, params, e, rng, order, bus, parallel=parallel)

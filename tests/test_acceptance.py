@@ -103,10 +103,10 @@ def test_criterion_2_message_passing_equivalence():
             scope = tuple(sorted({j, *extra}))
             q = LocalQ(agent=j, scope=scope,
                        n_actions=tuple(sizes[a] for a in scope))
-            q.tables[0][...] = rng.uniform(-10, 10, q.tables[0].shape)
+            q.values[...] = rng.uniform(-10, 10, q.values.shape)
             agents.append(Agent(id=j, local_q=q, levels=np.zeros(sizes[j])))
         order = tuple(rng.permutation(n))
-        got = ve_via_messages(agents, order, 0)
+        got = ve_via_messages(agents, order)
         expected = ve_argmax([a.local_q.as_function_table(0) for a in agents], order)
         if got != expected:
             mismatches += 1
@@ -174,12 +174,12 @@ def test_criterion_6_single_agent_fixed_point():
     q = LocalQ(agent=0, scope=(0,), n_actions=(4,))
     rng = np.random.default_rng(SEED)
     start = time.perf_counter()
-    table = q.table(0)
+    table = q.values
     for _ in range(50_000):
         greedy = int(np.argmax(table))
         a = explore_override(greedy, 0.2, rng, 4)
         greedy_after = int(np.argmax(table))
-        local_update(q, 0, (a,), float(rewards[a]), 0, (greedy_after,), params)
+        local_update(q, (a,), float(rewards[a]), (greedy_after,), params)
     elapsed = time.perf_counter() - start
     expected = rewards + params.gamma * rewards.max() / (1 - params.gamma)
     err = np.max(np.abs(table - expected))
@@ -203,7 +203,7 @@ def test_criterion_7_determinism(desk_scale_run, tmp_path):
     write_trace_csv(traces2, second)
     bytes_equal = first.read_bytes() == second.read_bytes()
     tables_equal = all(
-        np.array_equal(a.local_q.table(0), b.local_q.table(0))
+        np.array_equal(a.local_q.values, b.local_q.values)
         for a, b in zip(agents, par_agents)
     )
     report(7, bytes_equal and tables_equal,

@@ -117,6 +117,13 @@ class TestBetaRange:
         with pytest.raises(cli.ConfigParseError):
             cli.parse_beta_range("1:0:0.1")
 
+    def test_point_count_is_capped(self):
+        betas = cli.parse_beta_range("0:1:0.001")
+        assert len(betas) == cli.MAX_BETA_POINTS == 1001
+        assert (betas[0], betas[-1]) == (0.0, 1.0)
+        with pytest.raises(cli.ConfigValueError, match="100001 points"):
+            cli.parse_beta_range("0:1:1e-5")
+
 
 class TestSweep:
     def test_rows_and_oracle_columns(self, small_config, tmp_path):
@@ -271,21 +278,36 @@ class TestCommandLine:
         assert rc == 2
         assert "error" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("line, named", [
-        ("noise_dbm = inf", "[network] noise_dbm"),
-        ("gains = 2.5, nan", "[network] gains"),
-        ("noise_dbm = 4000", "[network] noise_dbm"),
-        ("p_max_dbm = 10, 4000", "[network] p_max_dbm"),
+    @pytest.mark.parametrize("section, line, named", [
+        ("network", "noise_dbm = inf", "[network] noise_dbm"),
+        ("network", "gains = 2.5, nan", "[network] gains"),
+        ("network", "gains = -1, 1", "[network] gains:"),
+        ("network", "noise_dbm = 4000", "[network] noise_dbm"),
+        ("network", "p_max_dbm = 10, 4000", "[network] p_max_dbm"),
+        ("experiment", "betas = 0:x:0.5", "[experiment] betas:"),
+        ("experiment", "betas = 0:1:1e-5", "[experiment] betas:"),
     ])
-    def test_unusable_network_value_fails_before_training(self, tmp_path, capsys, line, named):
+    def test_unusable_network_value_fails_before_training(
+        self, tmp_path, capsys, section, line, named
+    ):
         config = tmp_path / "exp.ini"
-        config.write_text(f"[network]\n{line}\n")
+        config.write_text(f"[{section}]\n{line}\n")
         with pytest.raises(cli.ConfigError, match=re.escape(named)):
             cli.load_config(config)
         rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert named in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("betas", ["0:x:1", "0:1:1e-5"])
+    def test_unusable_betas_option_named(self, tmp_path, capsys, betas):
+        config = tmp_path / "exp.ini"
+        config.write_text("")
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--config", str(config), "--betas", betas, "--out", str(out)])
+        assert rc == 2
+        assert "--betas:" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_bad_value_reports_error(self, tmp_path, capsys):
         config = tmp_path / "exp.ini"

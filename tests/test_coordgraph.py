@@ -329,7 +329,7 @@ def agents_holding(functions):
     """Agent j owns a copy of functions[j], whose scope must contain j."""
     agents = []
     for j, fn in enumerate(functions):
-        q = LocalQ(agent=j, scope=fn.scope, n_actions=fn.values.shape, tables={0: fn.values.copy()})
+        q = LocalQ(agent=j, scope=fn.scope, n_actions=fn.values.shape, values=fn.values.copy())
         agents.append(Agent(id=j, local_q=q, levels=np.zeros(fn.values.shape[fn.scope.index(j)])))
     return agents
 
@@ -340,10 +340,8 @@ def logged_ve(agents, order):
 
     Checks that the k-th Assignment carries the first k entries of the
     returned joint action."""
-    bus = InMemoryBus(record=True)
-    for a in agents:
-        bus.register(a.id)
-    action, value = ve_via_messages(agents, order, 0, bus)
+    bus = InMemoryBus((a.id for a in agents), record=True)
+    action, value = ve_via_messages(agents, order, bus)
     decided = list(action.items())
     chain = [list(m.actions.items()) for m in bus.log if isinstance(m, Assignment)]
     assert chain == [decided[:k] for k in range(1, len(decided))]
@@ -406,7 +404,7 @@ class TestProperties:
         elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) if integral else st.floats(-10, 10)
         for _ in range(3):
             for a in agents:
-                table = a.local_q.table(0)
+                table = a.local_q.values
                 table[...] = data.draw(hnp.arrays(np.float64, table.shape, elements=elements))
             tables = [a.local_q.as_function_table(0) for a in agents]
             misses = compiled_plan.cache_info().misses
@@ -441,7 +439,7 @@ class TestPlan:
     def test_inconsistent_action_sizes_rejected_over_messages(self, agent_order, order):
         agents = agents_holding([FunctionTable(scope, values) for scope, values in INCONSISTENT])
         with pytest.raises(ValueError, match="inconsistent action-set size for agent 1"):
-            ve_via_messages([agents[k] for k in agent_order], order, 0)
+            ve_via_messages([agents[k] for k in agent_order], order)
 
     def test_constant_tables_count_toward_the_value(self):
         functions = [FunctionTable((), np.array(2.5)), FunctionTable((0,), np.array([1.0, 3.0]))]
@@ -454,12 +452,12 @@ class TestPlan:
             with pytest.raises(ValueError, match="overflow"):
                 ve_argmax(functions, (1, 0))
             with pytest.raises(ValueError, match="overflow"):
-                ve_via_messages(agents_holding(functions), (1, 0), 0)
+                ve_via_messages(agents_holding(functions), (1, 0))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_nonfinite_table_entry_rejected(self, entry):
         # Written past local_update, straight into an agent's table.
         agents = agents_holding([FunctionTable((0, 1), np.zeros((2, 2))) for _ in range(2)])
-        agents[1].local_q.table(0)[1, 0] = entry
+        agents[1].local_q.values[1, 0] = entry
         with pytest.raises(ValueError, match="not finite"):
-            ve_via_messages(agents, (1, 0), 0)
+            ve_via_messages(agents, (1, 0))

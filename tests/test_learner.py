@@ -14,8 +14,8 @@ from coopa.learner import (
 )
 
 
-def make_q(scope=(0,), n=4, states=(0,)):
-    return LocalQ(agent=scope[0], scope=scope, n_actions=(n,) * len(scope), states=states)
+def make_q(scope=(0,), n=4):
+    return LocalQ(agent=scope[0], scope=scope, n_actions=(n,) * len(scope))
 
 
 class TestLocalUpdate:
@@ -23,60 +23,56 @@ class TestLocalUpdate:
         # 0 + 0.5 * (1 + 0.9*0 - 0) = 0.5
         q = make_q()
         params = LearningParams(alpha=0.5, gamma=0.9)
-        local_update(q, 0, (2,), 1.0, 0, (3,), params)
-        assert q.table(0)[2] == 0.5
+        local_update(q, (2,), 1.0, (3,), params)
+        assert q.values[2] == 0.5
 
     def test_full_overwrite(self):
         q = make_q()
-        q.table(0)[1] = 123.0
+        q.values[1] = 123.0
         params = LearningParams(alpha=1.0, gamma=0.0)
-        local_update(q, 0, (1,), -2.5, 0, (0,), params)
-        assert q.table(0)[1] == -2.5
+        local_update(q, (1,), -2.5, (0,), params)
+        assert q.values[1] == -2.5
 
     def test_second_update_bootstraps_on_itself(self):
         # after the first update the entry is 0.5; repeating with the same
         # action as the greedy one gives 0.5 + 0.5*(1 + 0.45 - 0.5) = 0.975
         q = make_q()
         params = LearningParams(alpha=0.5, gamma=0.9)
-        local_update(q, 0, (2,), 1.0, 0, (2,), params)
-        local_update(q, 0, (2,), 1.0, 0, (2,), params)
-        assert q.table(0)[2] == pytest.approx(0.975)
+        local_update(q, (2,), 1.0, (2,), params)
+        local_update(q, (2,), 1.0, (2,), params)
+        assert q.values[2] == pytest.approx(0.975)
 
     def test_single_entry_mutation(self):
         q = make_q(scope=(0, 1), n=3)
-        q.table(0)[...] = np.arange(9.0).reshape(3, 3)
-        before = q.table(0).copy()
-        local_update(q, 0, (1, 2), 7.0, 0, (0, 0), LearningParams())
-        diff = q.table(0) != before
+        q.values[...] = np.arange(9.0).reshape(3, 3)
+        before = q.values.copy()
+        local_update(q, (1, 2), 7.0, (0, 0), LearningParams())
+        diff = q.values != before
         assert diff.sum() == 1
         assert diff[1, 2]
 
     def test_invalid_indices(self):
         q = make_q(n=3)
         with pytest.raises(ValueError):
-            local_update(q, 0, (3,), 1.0, 0, (0,), LearningParams())
+            local_update(q, (3,), 1.0, (0,), LearningParams())
         with pytest.raises(ValueError):
-            local_update(q, 0, (0, 1), 1.0, 0, (0,), LearningParams())
+            local_update(q, (0, 1), 1.0, (0,), LearningParams())
 
-    def test_unknown_state(self):
-        q = make_q()
-        with pytest.raises(ValueError):
-            local_update(q, "missing", (0,), 1.0, 0, (0,), LearningParams())
 
     @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
     def test_nonfinite_reward_rejected(self, reward):
         q = make_q(scope=(3,))
         with pytest.raises(ValueError, match="agent 3"):
-            local_update(q, 0, (1,), reward, 0, (0,), LearningParams())
-        assert np.all(q.table(0) == 0)
+            local_update(q, (1,), reward, (0,), LearningParams())
+        assert np.all(q.values == 0)
 
     def test_overflowing_update_rejected(self):
         # 1e308 + 0.9 * 1.7e308 overflows to inf
         q = make_q()
-        q.table(0)[0] = 1.7e308
+        q.values[0] = 1.7e308
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="agent 0"):
-            local_update(q, 0, (1,), 1e308, 0, (0,), LearningParams(alpha=1.0, gamma=0.9))
-        assert q.table(0)[1] == 0.0
+            local_update(q, (1,), 1e308, (0,), LearningParams(alpha=1.0, gamma=0.9))
+        assert q.values[1] == 0.0
 
     def test_bounded_iterates(self):
         # zero-init, |r| <= B  ==>  |Q| <= B / (1 - gamma) at all times
@@ -87,10 +83,10 @@ class TestLocalUpdate:
         limit = bound / (1 - params.gamma)
         for _ in range(5000):
             a = (int(rng.integers(5)),)
-            a_star = (int(np.argmax(q.table(0))),)
+            a_star = (int(np.argmax(q.values)),)
             r = float(rng.uniform(-bound, bound))
-            local_update(q, 0, a, r, 0, a_star, params)
-            assert np.all(np.abs(q.table(0)) <= limit + 1e-9)
+            local_update(q, a, r, a_star, params)
+            assert np.all(np.abs(q.values) <= limit + 1e-9)
 
 
 class TestFixedPoint:
@@ -110,18 +106,18 @@ class TestFixedPoint:
         )
         order = (1, 0)
         for _ in range(20000):
-            tables = [FunctionTable((0, 1), q.table(0)) for q in qs]
+            tables = [FunctionTable((0, 1), q.values) for q in qs]
             greedy, _ = ve_argmax(tables, order)
             a = tuple(
                 int(rng.integers(n)) if rng.random() < 0.3 else greedy[j]
                 for j in range(2)
             )
             for j, q in enumerate(qs):
-                local_update(q, 0, a, rewards[j][a], 0, (greedy[0], greedy[1]), params)
+                local_update(q, a, rewards[j][a], (greedy[0], greedy[1]), params)
 
         total_r = rewards[0] + rewards[1]
         expected = total_r + params.gamma * total_r.max() / (1 - params.gamma)
-        global_q = qs[0].table(0) + qs[1].table(0)
+        global_q = qs[0].values + qs[1].values
         assert np.allclose(global_q, expected, atol=1e-3)
         assert np.unravel_index(global_q.argmax(), global_q.shape) == np.unravel_index(
             total_r.argmax(), total_r.shape
@@ -199,30 +195,39 @@ class TestParamsAndTables:
         with pytest.raises(ValueError):
             LocalQ(agent=5, scope=(0, 1), n_actions=(2, 2))
 
-    def test_tables_start_at_zero_per_state(self):
-        q = make_q(scope=(1, 2), n=3, states=("a", "b"))
-        assert set(q.tables) == {"a", "b"}
-        assert np.all(q.table("a") == 0)
-        assert q.table("a").shape == (3, 3)
+    def test_table_starts_at_zero(self):
+        q = make_q(scope=(1, 2), n=3)
+        assert q.values.shape == (3, 3)
+        assert np.all(q.values == 0)
 
     def test_given_tables_checked(self):
         with pytest.raises(ValueError, match="shape"):
-            LocalQ(agent=0, scope=(0,), n_actions=(3,), tables={0: np.zeros(2)})
+            LocalQ(agent=0, scope=(0,), n_actions=(3,), values=np.zeros(2))
         with pytest.raises(ValueError, match="finite"):
-            LocalQ(agent=0, scope=(0,), n_actions=(2,), tables={0: np.array([0.0, np.nan])})
+            LocalQ(agent=0, scope=(0,), n_actions=(2,), values=np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("values", [np.zeros(2, dtype=int), [0.0, 0.0]])
+    def test_given_values_take_float_updates(self, values):
+        # An integer table would truncate every update to an integer.
+        q = LocalQ(agent=0, scope=(0,), n_actions=(2,), values=values)
+        local_update(q, (1,), 0.75, (0,), LearningParams(alpha=1.0, gamma=0.0))
+        assert q.values.tolist() == [0.0, 0.75]
+
+    def test_unknown_state(self):
+        # The accessors keep a state argument for the benchmark's workloads;
+        # state 0 is the one table.
+        q = make_q(scope=(0, 1), n=2)
+        assert q.table(0) is q.values
+        assert q.as_function_table(0).values is q.values
+        for accessor in (q.table, q.as_function_table):
+            with pytest.raises(ValueError, match="unknown state"):
+                accessor("missing")
+            with pytest.raises(ValueError, match="unknown state"):
+                accessor(1)
 
     def test_as_function_table_is_view(self):
         q = make_q(scope=(0, 1), n=2)
         ft = q.as_function_table(0)
-        q.table(0)[1, 1] = 9.0
+        q.values[1, 1] = 9.0
         assert ft.values[1, 1] == 9.0
 
-    def test_csv_export(self, tmp_path):
-        q = make_q(scope=(0, 2), n=2)
-        q.table(0)[...] = [[0.0, 1.5], [2.5, -3.0]]
-        path = tmp_path / "q.csv"
-        q.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "state,a0,a2,q"
-        assert len(lines) == 1 + 4
-        assert lines[2].split(",") == ["0", "0", "1", "1.5"]
