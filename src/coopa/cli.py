@@ -13,7 +13,6 @@ import argparse
 import configparser
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -291,6 +290,8 @@ def run_sweep(config: ExperimentConfig, path=None) -> str:
     tasks = [(config, beta, k) for k, beta in enumerate(betas)]
     workers = sweep_workers(len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import, rarely used
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:

@@ -17,7 +17,8 @@ into a coordgraph.EliminationPlan at a training run's first elimination,
 and every later one replays that schedule (coordgraph.compiled_plan) on
 the current table values. The plan's one run computes every message's
 content, so the backhaul only checks, counts and logs what is sent; it
-does not deliver.
+does not deliver. Each agent's memo of its last elimination lets a
+large one recompute only the joint rows whose inputs changed since.
 
 Everything is deterministic under a fixed seed, regardless of scheduling.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from . import radio
 from .coordgraph import (
     CoordinationGraph,
     FunctionTable,
+    StepMemo,
     compiled_plan,
     default_elimination_order,
     eliminate_agent,  # noqa: F401  re-exported: tracing tools wrap it by this name
@@ -123,11 +125,13 @@ class InMemoryBus:
 
 @dataclass(eq=False)
 class Agent:
-    """One transmitter: identity, local Q-table, power levels."""
+    """One transmitter: identity, local Q-table, power levels, and the
+    memo of its last elimination that ve_via_messages hands the plan."""
 
     id: int
     local_q: LocalQ
     levels: np.ndarray  # this agent's transmit power grid, mW
+    _memo: StepMemo = field(default_factory=StepMemo, init=False, repr=False)
 
     def __post_init__(self):
         if self.local_q.agent != self.id:
@@ -175,7 +179,8 @@ def ve_via_messages(
     The plan's run computes the content of every message, so the bus then
     carries the traffic of both passes in protocol order. The plan is
     compiled once per set of scopes, table shapes, agent ids and order,
-    and replayed on later calls.
+    and replayed on later calls, with each eliminated agent's memo, so a
+    large elimination redoes only the joint rows whose inputs changed.
     """
     agents = list(agents)
     tables = [a.local_q.as_function_table(0) for a in agents]
@@ -188,7 +193,7 @@ def ve_via_messages(
     if bus is None:
         bus = InMemoryBus(a.id for a in agents)
 
-    assignment, value, conditionals = plan.run(tables)
+    assignment, value, conditionals = plan.run(tables, {a.id: a._memo for a in agents})
     for step, f in zip(plan.steps, conditionals):
         for sender, birth in step.senders:
             bus.send(ShareQ(sender, step.agent, tables[birth]))
@@ -241,7 +246,8 @@ def run_episode(
     agent then epsilon-greedily overrides its own assignment. Rewards are
     log2(1 + SINR) of the actually transmitted powers. A second
     elimination pass supplies the greedy joint action whose scoped slice
-    each agent bootstraps on. Both passes replay one compiled plan.
+    each agent bootstraps on. Both passes replay one compiled plan; the
+    second's memoized steps only compare their unchanged inputs.
     """
     agents = sorted(agents, key=lambda a: a.id)
     sent_before = bus.sent_count

@@ -3,6 +3,8 @@
 import csv
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -226,6 +228,16 @@ class TestSurface:
 
 
 class TestCommandLine:
+    def test_import_leaves_the_process_pool_out(self):
+        # Every command imports cli; only a parallel sweep needs the pool.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import sys, coopa.cli; print('concurrent.futures.process' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "False"
+
     def test_run_writes_trace(self, tmp_path):
         config = tmp_path / "exp.ini"
         config.write_text("[network]\nn_power = 4\n[experiment]\nepisodes = 50\n")

@@ -4,12 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from coopa import coordgraph
 from coopa.coordgraph import (
     MAX_INDUCED_SCOPE,
     CoordinationGraph,
+    EliminationPlan,
     FunctionTable,
     brute_force_argmax,
     compiled_plan,
@@ -461,3 +463,133 @@ class TestPlan:
         agents[1].local_q.values[1, 0] = entry
         with pytest.raises(ValueError, match="not finite"):
             ve_via_messages(agents, (1, 0))
+
+
+@pytest.fixture(params=["rows", "rows or full"])
+def every_step_memoized(request, monkeypatch):
+    """Plans compiled meanwhile memoize every step whose result has a scope.
+
+    With "rows", such a step recomputes its dirty rows however many there
+    are; with "rows or full", too many dirty rows take the full kernel.
+    """
+    monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+    if request.param == "rows":
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+    compiled_plan.cache_clear()
+    yield
+    compiled_plan.cache_clear()
+
+
+def ring_agents(n, levels, rng):
+    """Agent i owns a random table over {i-1, i, i+1} of an n-agent ring."""
+    scopes = [tuple(sorted({(i - 1) % n, i, (i + 1) % n})) for i in range(n)]
+    return agents_holding([FunctionTable(s, rng.uniform(-1, 1, (levels,) * len(s))) for s in scopes])
+
+
+def plan_of(agents, order):
+    tables = [a.local_q.as_function_table(0) for a in agents]
+    return tables, compiled_plan(
+        tuple(t.scope for t in tables), tuple(t.values.shape for t in tables),
+        tuple(order), tuple(a.id for a in agents),
+    )
+
+
+MEMO_CASES = settings(
+    derandomize=True, database=None, max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestMemo:
+    @MEMO_CASES
+    @given(instances(), st.data())
+    def test_memoized_runs_equal_fresh_runs_bit_for_bit(self, every_step_memoized, instance, data):
+        functions, order, integral = instance
+        agents = agents_holding(functions)
+        by_id = {a.id: a for a in agents}
+        elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) if integral else st.floats(-10, 10)
+        for _ in range(5):
+            for a in agents:
+                table = a.local_q.values
+                edit = data.draw(st.sampled_from(["none", "entry", "entry", "table", "zero sign"]))
+                if edit == "table":
+                    table[...] = data.draw(hnp.arrays(np.float64, table.shape, elements=elements))
+                elif edit != "none":
+                    at = tuple(data.draw(st.integers(0, n - 1)) for n in table.shape)
+                    if edit == "entry":
+                        table[at] = data.draw(elements)
+                    elif table[at] == 0.0:
+                        table[at] = -table[at]
+            tables, plan = plan_of(agents, order)
+            action, value, log = logged_ve(agents, order)
+            fresh = EliminationPlan(
+                tuple(t.scope for t in tables), tuple(t.values.shape for t in tables),
+                order, tuple(a.id for a in agents),
+            )
+            expected_action, expected_value, conditionals = fresh.run(tables)
+            assert action == expected_action
+            assert same_bits(value, expected_value)
+            born = tables + conditionals
+            for k, step in enumerate(plan.steps):
+                if not step.memo:
+                    continue
+                memo = by_id[step.agent]._memo
+                assert memo.key == (plan, k)
+                _, b, _ = eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)
+                assert same_bits(memo.f.values, conditionals[k].values)
+                assert np.array_equal(memo.b.values, b.values)
+            # The same traffic as agents that remember nothing.
+            assert log == logged_ve(agents_holding(tables), order)[2]
+
+    def test_another_order_resets_the_memo(self, every_step_memoized, monkeypatch):
+        full = []  # agents whose step ran the full kernel
+        kernel = coordgraph.eliminate_agent
+        monkeypatch.setattr(
+            coordgraph, "eliminate_agent", lambda fns, agent, **kw: full.append(agent) or kernel(fns, agent, **kw)
+        )
+        rng = np.random.default_rng(8)
+        agents = ring_agents(5, 3, rng)
+        a_order, b_order = (0, 1, 2, 3, 4), (4, 2, 0, 3, 1)
+        for order in (a_order, b_order, a_order):
+            for a in agents:
+                table = a.local_q.values
+                table[tuple(rng.integers(0, 3, table.ndim))] = rng.integers(-2, 3)
+            tables, plan = plan_of(agents, order)
+            assert any(step.memo for step in plan.steps)
+            for again in (False, True):
+                # A memo last filled under the other order, or never, starts
+                # from scratch: its step runs the full kernel. Repeated on
+                # the same tables, only the unmemoized steps do.
+                stale = {s.agent for k, s in enumerate(plan.steps) if s.memo and agents[s.agent]._memo.key != (plan, k)}
+                assert bool(stale) != again
+                full.clear()
+                action, value = ve_via_messages(agents, order)
+                assert stale <= set(full)
+                if again:
+                    assert full == [s.agent for s in plan.steps if not s.memo]
+                expected_action, expected_value = ve_argmax(tables, order)
+                assert action == expected_action
+                assert same_bits(value, expected_value)
+            for k, step in enumerate(plan.steps):
+                if step.memo:
+                    assert agents[step.agent]._memo.key == (plan, k)
+
+    def test_a_step_that_raised_raises_again(self, every_step_memoized):
+        rng = np.random.default_rng(3)
+        agents = ring_agents(4, 5, rng)
+        order = (0, 1, 2, 3)
+        tables, plan = plan_of(agents, order)
+        ve_via_messages(agents, order)
+        assert plan.steps[0].memo
+        q = agents[1].local_q.values  # gathered by step 0, eliminating agent 0
+        kept = q[0, 2, 1]
+        q[0, 2, 1] = np.inf
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not finite"):
+                ve_via_messages(agents, order)
+        q[0, 2, 1] = kept
+        action, value = ve_via_messages(agents, order)
+        compiled_plan.cache_clear()
+        expected_action, expected_value = ve_argmax(tables, order)
+        assert action == expected_action
+        assert same_bits(value, expected_value)

@@ -13,20 +13,22 @@ import numpy as np
 import pytest
 
 from coopa import radio
+from coopa.coordgraph import CoordinationGraph, EliminationPlan, default_elimination_order
 from coopa.learner import LearningParams
-from coopa.runtime import train, write_trace_csv
+from coopa.runtime import build_agents, train, write_trace_csv
 
 
-def ring4() -> radio.NetworkConfig:
-    beta = np.zeros((4, 4))
-    for i in range(4):
-        beta[i, (i + 1) % 4] = beta[(i + 1) % 4, i] = 0.3
+def ring(n: int, levels: int) -> radio.NetworkConfig:
+    """n cells in a ring, each interfering with its two neighbours at 0.3."""
+    beta = np.zeros((n, n))
+    for i in range(n):
+        beta[i, (i + 1) % n] = beta[(i + 1) % n, i] = 0.3
     return radio.NetworkConfig(
-        gain=np.array([2.5, 1.5, 2.5, 1.5]),
+        gain=np.resize([2.5, 1.5], n),
         beta=beta,
         noise_mw=1.0,
-        p_max_dbm=np.array([10.0, 13.0, 10.0, 13.0]),
-        n_power=5,
+        p_max_dbm=np.resize([10.0, 13.0], n),
+        n_power=levels,
     )
 
 
@@ -37,10 +39,17 @@ CASES = {
         ("ffbe59cbb3c44dce", "4c7b5353b844fb36"),
     ),
     "ring4_min_degree": (
-        ring4,
+        lambda: ring(4, 5),
         dict(params=LearningParams(epsilon_decay_episodes=150), episodes=200, seed=5,
              order_strategy="min-degree"),
         ("7c07252c65d049a4", "bff9f069c7bb2be8"),
+    ),
+    # Two eliminations over 7^5 joint actions: memoized steps (see below).
+    "ring6_min_degree": (
+        lambda: ring(6, 7),
+        dict(params=LearningParams(epsilon_decay_episodes=150), episodes=200, seed=5,
+             order_strategy="min-degree"),
+        ("12eb656377e659bb", "e5fe81dff1fb7e9c"),
     ),
 }
 
@@ -58,3 +67,11 @@ def test_fixed_seed_outputs_are_pinned(case, parallel, tmp_path):
     write_trace_csv(traces, path)
     tables = b"".join(a.local_q.values.tobytes() for a in agents)
     assert (sha16(path.read_bytes()), sha16(tables)) == (trace_sha, tables_sha)
+
+
+def test_ring6_case_crosses_the_memo_gate():
+    agents = build_agents(ring(6, 7))
+    scopes = tuple(a.local_q.scope for a in agents)
+    order = default_elimination_order(CoordinationGraph(scopes), "min-degree")
+    plan = EliminationPlan(scopes, tuple(a.local_q.values.shape for a in agents), order)
+    assert any(step.memo for step in plan.steps)
