@@ -8,7 +8,6 @@ baselines reproduce the usual naive strategies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,22 +74,25 @@ def brute_force_grid_optimum(
     """Exhaustive argmax of the sum throughput over the power grid.
 
     Ties break to the lexicographically lowest joint index. Refuses joint
-    spaces above MAX_BRUTE_FORCE points.
+    spaces above MAX_BRUTE_FORCE points, and a grid without one row per
+    agent or with a level outside [0, cap]. Evaluates all points at once
+    with radio.sum_throughput's arithmetic, so the value is the same float.
     """
     n_combos = grid.n_power**grid.n_agents
     if n_combos > MAX_BRUTE_FORCE:
         raise ValueError(
             f"grid has {n_combos} joint points (limit {MAX_BRUTE_FORCE})"
         )
-    best_action = None
-    best_value = -np.inf
-    for action in itertools.product(range(grid.n_power), repeat=grid.n_agents):
-        value = radio.sum_throughput(grid.powers(action), cfg)
-        if value > best_value:
-            best_value = value
-            best_action = action
-    powers = tuple(float(p) for p in grid.powers(best_action))
-    return Allocation(powers, best_value, "brute-force")
+    if grid.n_agents != cfg.n_agents:
+        raise ValueError(f"grid has {grid.n_agents} rows for {cfg.n_agents} agents")
+    caps = cfg.p_max_mw[:, None] * (1.0 + 1e-12)
+    if not np.all((grid.levels >= 0) & (grid.levels <= caps)):
+        raise ValueError("grid levels must lie between 0 mW and each agent's cap")
+    powers = np.meshgrid(*grid.levels, indexing="ij", copy=False)
+    total = sum(radio.throughput(i, powers, cfg) for i in range(cfg.n_agents))
+    best = np.unravel_index(np.argmax(total), total.shape)
+    levels = tuple(float(grid.levels[i, a]) for i, a in enumerate(best))
+    return Allocation(levels, float(total[best]), "brute-force")
 
 
 def greedy_allocation(cfg: radio.NetworkConfig) -> Allocation:

@@ -3,6 +3,8 @@
 All internal arithmetic is in linear milliwatt units; dBm appears only at
 configuration boundaries. The channel is time-invariant per run (slow
 fading), so every function here is a pure function of the configuration.
+The interferer sets, and so the coordination graph, derive from beta.
+sinr and throughput also take a stack of joint power vectors.
 """
 
 from __future__ import annotations
@@ -50,13 +52,12 @@ class NetworkConfig:
     ----------
     gain : per-transmitter channel gain to the user it serves (linear).
     beta : (n, n) matrix; beta[j, i] is the fraction of transmitter j's
-        power that lands as interference at user i. Zero outside
-        declared interferer pairs and on the diagonal.
-    interferers : for each user i, the ids of transmitters interfering
-        with it. Derived from beta > 0 when not given explicitly.
+        power that lands as interference at user i. Zero on the diagonal.
     noise_mw : receiver noise power in milliwatts.
     p_max_dbm : per-transmitter power cap in dBm.
     n_power : number of discrete transmit power levels per transmitter.
+    interferers : derived, not given: for each user i, the ids j with
+        beta[j, i] > 0, ascending.
     """
 
     gain: np.ndarray
@@ -64,7 +65,7 @@ class NetworkConfig:
     noise_mw: float
     p_max_dbm: np.ndarray
     n_power: int
-    interferers: tuple[tuple[int, ...], ...] = field(default=None)  # type: ignore[assignment]
+    interferers: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
         gain = np.asarray(self.gain, dtype=float)
@@ -92,35 +93,19 @@ class NetworkConfig:
         if np.any(gain <= 0):
             raise ValueError("gain: channel gains must be positive")
         if self.noise_mw <= 0:
-            raise ValueError("noise power must be positive")
+            raise ValueError(f"noise_mw: noise power must be positive, got {self.noise_mw}")
         if np.any(beta < 0) or np.any(beta > 1):
             raise ValueError("beta: interference ratios must lie in [0, 1]")
         if np.any(np.diag(beta) != 0):
             raise ValueError("no self-interference: diagonal of beta must be 0")
+        if isinstance(self.n_power, bool) or not isinstance(self.n_power, (int, np.integer)):
+            raise ValueError(f"n_power must be an integer, got {self.n_power!r}")
         if self.n_power < 2:
             raise ValueError(f"n_power must be at least 2, got {self.n_power}")
 
-        if self.interferers is None:
-            derived = tuple(
-                tuple(int(j) for j in range(n) if j != i and beta[j, i] > 0)
-                for i in range(n)
-            )
-            object.__setattr__(self, "interferers", derived)
-        else:
-            ifr = tuple(tuple(int(j) for j in js) for js in self.interferers)
-            object.__setattr__(self, "interferers", ifr)
-            for i, js in enumerate(ifr):
-                if i in js:
-                    raise ValueError(f"agent {i} cannot interfere with itself")
-                if any(not 0 <= j < n for j in js) or len(set(js)) != len(js):
-                    raise ValueError(
-                        f"interferers of agent {i} must be distinct ids in [0, {n}), got {js}"
-                    )
-                for j in range(n):
-                    if j != i and j not in js and beta[j, i] != 0:
-                        raise ValueError(
-                            f"beta[{j},{i}] is nonzero but {j} is not an interferer of {i}"
-                        )
+        object.__setattr__(self, "interferers", tuple(
+            tuple(int(j) for j in np.flatnonzero(beta[:, i] > 0)) for i in range(n)
+        ))
 
     @property
     def n_agents(self) -> int:
@@ -165,11 +150,12 @@ def build_action_grid(cfg: NetworkConfig) -> ActionGrid:
     return ActionGrid(levels=levels)
 
 
-def sinr(i: int, powers, cfg: NetworkConfig) -> float:
+def sinr(i: int, powers, cfg: NetworkConfig) -> np.float64 | np.ndarray:
     """Signal-to-interference-plus-noise ratio at user i.
 
-    powers is the per-agent transmit power vector in mW. The interference
-    seen at user i from transmitter j is gain[i] * powers[j] * beta[j, i].
+    powers holds the per-agent transmit powers in mW along its leading
+    axis: one joint vector, or a stack giving one SINR per joint point.
+    Transmitter j interferes at user i with gain[i] * powers[j] * beta[j, i].
     """
     if not 0 <= i < cfg.n_agents:
         raise ValueError(f"unknown agent id {i} (n_agents={cfg.n_agents})")
@@ -177,12 +163,13 @@ def sinr(i: int, powers, cfg: NetworkConfig) -> float:
     interference = sum(
         cfg.gain[i] * powers[j] * cfg.beta[j, i] for j in cfg.interferers[i]
     )
-    return float(cfg.gain[i] * powers[i] / (interference + cfg.noise_mw))
+    return cfg.gain[i] * powers[i] / (interference + cfg.noise_mw)
 
 
-def throughput(i: int, powers, cfg: NetworkConfig) -> float:
-    """Normalized throughput of user i in bits/s/Hz: log2(1 + SINR)."""
-    return float(np.log2(1.0 + sinr(i, powers, cfg)))
+def throughput(i: int, powers, cfg: NetworkConfig) -> np.float64 | np.ndarray:
+    """Normalized throughput of user i in bits/s/Hz: log2(1 + SINR);
+    powers as for sinr."""
+    return np.log2(1.0 + sinr(i, powers, cfg))
 
 
 def sum_throughput(powers, cfg: NetworkConfig) -> float:

@@ -136,6 +136,9 @@ class Agent:
     def __post_init__(self):
         if self.local_q.agent != self.id:
             raise ValueError("agent id must match its LocalQ owner")
+        own = self.local_q.n_actions[self.local_q.scope.index(self.id)]
+        if len(self.levels) != own:
+            raise ValueError(f"levels: {len(self.levels)} power levels for {own} table actions")
 
     @property
     def n_actions(self) -> int:
@@ -205,16 +208,14 @@ def ve_via_messages(
     return assignment, value
 
 
-def build_agents(
-    cfg: radio.NetworkConfig, grid: radio.ActionGrid | None = None
-) -> list[Agent]:
+def build_agents(cfg: radio.NetworkConfig) -> list[Agent]:
     """Create zero-initialized agents for a network.
 
     Each agent's scope is itself plus its interferers, the agent-based
-    decomposition induced by the interference model.
+    decomposition induced by the interference model; its power levels are
+    its row of radio.build_action_grid(cfg).
     """
-    if grid is None:
-        grid = radio.build_action_grid(cfg)
+    grid = radio.build_action_grid(cfg)
     agents = []
     for j in range(cfg.n_agents):
         scope = tuple(sorted({j, *cfg.interferers[j]}))
@@ -232,7 +233,6 @@ def greedy_joint_action(agents, order) -> tuple[dict[int, int], float]:
 def run_episode(
     agents,
     cfg: radio.NetworkConfig,
-    grid: radio.ActionGrid,
     params: LearningParams,
     episode: int,
     rng,
@@ -243,8 +243,9 @@ def run_episode(
     """One learning episode: select, explore, transmit, feed back, update.
 
     The joint action comes from variable elimination over the bus; each
-    agent then epsilon-greedily overrides its own assignment. Rewards are
-    log2(1 + SINR) of the actually transmitted powers. A second
+    agent then epsilon-greedily overrides its own assignment and transmits
+    its level for that action. Rewards are log2(1 + SINR) under cfg of the
+    actually transmitted powers. A second
     elimination pass supplies the greedy joint action whose scoped slice
     each agent bootstraps on. Both passes replay one compiled plan; the
     second's memoized steps only compare their unchanged inputs.
@@ -305,14 +306,13 @@ def train(
     """
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
-    grid = radio.build_action_grid(cfg)
-    agents = build_agents(cfg, grid)
+    agents = build_agents(cfg)
     graph = CoordinationGraph(tuple(a.local_q.scope for a in agents))
     order = default_elimination_order(graph, order_strategy)
     bus = InMemoryBus(a.id for a in agents)
     rng = np.random.default_rng(seed)
     traces = [
-        run_episode(agents, cfg, grid, params, e, rng, order, bus, parallel=parallel)
+        run_episode(agents, cfg, params, e, rng, order, bus, parallel=parallel)
         for e in range(episodes)
     ]
     return agents, traces

@@ -298,6 +298,9 @@ class TestCommandLine:
         ("network", "p_max_dbm = 10, 4000", "[network] p_max_dbm"),
         ("experiment", "betas = 0:x:0.5", "[experiment] betas:"),
         ("experiment", "betas = 0:1:1e-5", "[experiment] betas:"),
+        ("experiment", "betas = 0.3, 1.5", "[experiment] betas"),
+        ("experiment", "betas = -0.1, 0.3", "[experiment] betas"),
+        ("experiment", "episodes = 0", "[experiment] episodes"),
     ])
     def test_unusable_network_value_fails_before_training(
         self, tmp_path, capsys, section, line, named

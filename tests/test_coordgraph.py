@@ -275,6 +275,15 @@ class TestTables:
         with pytest.raises(ValueError):
             FunctionTable((1,), np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("shapes", [
+        ((2, 2),),  # one shape for two tables
+        ((2, 2), (2,)),  # one size for a two-agent scope
+        ((2, 2), (2, 2, 2)),  # three sizes for a two-agent scope
+    ])
+    def test_plan_shapes_must_match_scopes(self, shapes):
+        with pytest.raises(ValueError, match="shape per table"):
+            EliminationPlan(((0, 1), (1, 2)), shapes, (0, 1, 2))
+
     def test_graph_requires_nonempty_scopes(self):
         with pytest.raises(ValueError):
             CoordinationGraph(((),))

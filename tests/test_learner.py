@@ -191,9 +191,27 @@ class TestParamsAndTables:
         with pytest.raises(ValueError):
             LearningParams(epsilon_start=0.1, epsilon_end=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon_start", 1.5),
+        ("epsilon_start", -0.1),
+        ("epsilon_end", 1.5),
+        ("epsilon_end", -0.1),
+        ("epsilon_decay_episodes", -1),
+    ])
+    def test_schedule_out_of_range_named(self, field, value):
+        kwargs = {"epsilon_start": 1.0, "epsilon_end": 0.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            LearningParams(**kwargs)
+
     def test_scope_must_contain_owner(self):
         with pytest.raises(ValueError):
             LocalQ(agent=5, scope=(0, 1), n_actions=(2, 2))
+
+    def test_n_actions_one_size_per_scope_agent(self):
+        with pytest.raises(ValueError, match="n_actions"):
+            LocalQ(agent=0, scope=(0, 1), n_actions=(3,))
+        with pytest.raises(ValueError, match="n_actions"):
+            LocalQ(agent=0, scope=(0,), n_actions=(3, 3))
 
     def test_table_starts_at_zero(self):
         q = make_q(scope=(1, 2), n=3)

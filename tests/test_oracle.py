@@ -1,11 +1,41 @@
 """Oracle tests: the closed form, the grid search, and the baselines."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from coopa import oracle, radio
 
 CAP2_MW = 10 ** 1.3
+
+
+def reference_grid_optimum(cfg, grid):
+    """The grid search as one radio.sum_throughput call per joint point,
+    keeping the first best in lexicographic order: what the vectorized
+    oracle must reproduce bit for bit."""
+    best_action, best_value = None, -np.inf
+    for action in itertools.product(range(grid.n_power), repeat=grid.n_agents):
+        value = radio.sum_throughput(grid.powers(action), cfg)
+        if value > best_value:
+            best_action, best_value = action, value
+    return tuple(float(p) for p in grid.powers(best_action)), best_value
+
+
+def random_network(rng, n, n_power, max_beta):
+    """n cells with random gains, caps and noise; beta is asymmetric and
+    sparse, so some users see no interference at all. Under weak
+    interference every user transmits at the optimum, where the order of
+    the users' terms in the sum decides the value's last bits."""
+    beta = rng.uniform(0.0, max_beta, (n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(beta, 0.0)
+    return radio.NetworkConfig(
+        gain=rng.uniform(0.2, 3.0, n),
+        beta=beta,
+        noise_mw=float(rng.uniform(0.1, 2.0)),
+        p_max_dbm=rng.uniform(0.0, 15.0, n),
+        n_power=n_power,
+    )
 
 
 class TestClosedForm:
@@ -112,6 +142,58 @@ class TestGridOptimum:
             radio.sum_throughput(alloc.powers_mw, cfg), abs=1e-9
         )
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_reference_on_random_networks(self, seed):
+        rng = np.random.default_rng(seed)
+        for n, n_power, max_beta in itertools.product((1, 2, 3), (2, 3, 5, 9), (0.2, 1.0)):
+            cfg = random_network(rng, n, n_power, max_beta)
+            grid = radio.build_action_grid(cfg)
+            alloc = oracle.brute_force_grid_optimum(cfg, grid)
+            assert (alloc.powers_mw, alloc.sum_throughput) == reference_grid_optimum(cfg, grid)
+
+    def test_equals_reference_with_zero_rows_in_beta(self):
+        # transmitter 1 hurts nobody and user 2 hears only transmitter 0
+        beta = np.array([[0.0, 0.5, 0.7], [0.0, 0.0, 0.0], [0.2, 0.0, 0.0]])
+        cfg = radio.NetworkConfig(
+            gain=np.array([2.5, 1.5, 0.8]), beta=beta, noise_mw=1.0,
+            p_max_dbm=np.array([10.0, 13.0, 7.0]), n_power=7,
+        )
+        grid = radio.build_action_grid(cfg)
+        alloc = oracle.brute_force_grid_optimum(cfg, grid)
+        assert (alloc.powers_mw, alloc.sum_throughput) == reference_grid_optimum(cfg, grid)
+
+    def test_equals_reference_over_the_41_level_beta_sweep(self):
+        # criterion 5's grid and betas
+        for beta in np.arange(0.05, 1.0001, 0.05):
+            cfg = radio.two_cell_config(float(beta), n_power=41)
+            grid = radio.build_action_grid(cfg)
+            alloc = oracle.brute_force_grid_optimum(cfg, grid)
+            assert (alloc.powers_mw, alloc.sum_throughput) == reference_grid_optimum(cfg, grid)
+
+    def test_ties_break_to_lowest_joint_index(self):
+        # identical users at beta = 1: one user alone at full power is best,
+        # and (0, 10) and (10, 0) mW tie exactly; joint index (0, 2) wins
+        cfg = radio.two_cell_config(1.0, g1=1.0, g2=1.0, p1_max_dbm=10.0,
+                                    p2_max_dbm=10.0, n_power=3)
+        grid = radio.build_action_grid(cfg)
+        alloc = oracle.brute_force_grid_optimum(cfg, grid)
+        assert alloc.powers_mw == reference_grid_optimum(cfg, grid)[0] == (0.0, 10.0)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_grid_must_have_one_row_per_agent(self, rows):
+        cfg = radio.two_cell_config(0.3, n_power=5)
+        grid = radio.ActionGrid(np.tile(np.linspace(0.0, 10.0, 5), (rows, 1)))
+        with pytest.raises(ValueError, match="grid has"):
+            oracle.brute_force_grid_optimum(cfg, grid)
+
+    @pytest.mark.parametrize("bad", [10.5, -1.0, np.nan])
+    def test_grid_levels_must_lie_within_the_caps(self, bad):
+        cfg = radio.two_cell_config(0.3, n_power=3)
+        levels = radio.build_action_grid(cfg).levels.copy()
+        levels[0, 1] = bad  # agent 0's cap is 10 mW
+        with pytest.raises(ValueError, match="grid levels"):
+            oracle.brute_force_grid_optimum(cfg, radio.ActionGrid(levels))
+
 
 class TestBaselines:
     def test_greedy_reference_case(self):
@@ -122,6 +204,14 @@ class TestBaselines:
     def test_greedy_tie_to_first(self):
         cfg = radio.two_cell_config(0.3, p1_max_dbm=10.0, p2_max_dbm=10.0)
         assert oracle.greedy_allocation(cfg).powers_mw == (10.0, 0.0)
+
+    def test_greedy_needs_two_agents(self):
+        cfg = radio.NetworkConfig(
+            gain=np.ones(3), beta=np.zeros((3, 3)), noise_mw=1.0,
+            p_max_dbm=np.full(3, 10.0), n_power=3,
+        )
+        with pytest.raises(ValueError, match="greedy baseline .* 2 agents, got 3"):
+            oracle.greedy_allocation(cfg)
 
     def test_greedy_swaps_with_caps(self):
         cfg = radio.two_cell_config(0.3, p1_max_dbm=13.0, p2_max_dbm=10.0)

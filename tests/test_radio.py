@@ -111,6 +111,19 @@ class TestSinr:
                     radio.sinr(i, p, cfg), rel=1e-12
                 )
 
+    def test_stack_of_joint_powers(self):
+        # a stack along the leading agent axis gives, at every point, the
+        # same float as the scalar call
+        beta = np.array([[0.0, 0.4, 0.0], [0.0, 0.0, 0.0], [0.1, 0.2, 0.0]])
+        cfg = radio.NetworkConfig(**dict(valid_kwargs(3), beta=beta, gain=[2.5, 1.5, 0.5]))
+        stack = np.random.default_rng(3).uniform(0.0, 10.0, (3, 4, 5))
+        for i in range(3):
+            for f in (radio.sinr, radio.throughput):
+                got = f(i, stack, cfg)
+                assert got.shape == (4, 5)
+                for k, m in np.ndindex(4, 5):
+                    assert got[k, m] == f(i, stack[:, k, m], cfg)
+
 
 class TestThroughput:
     def test_zero_sinr(self):
@@ -219,6 +232,17 @@ class TestActionGrid:
             grid.powers(action)
 
 
+def valid_kwargs(n):
+    """NetworkConfig arguments for n cells that all interfere at 0.3."""
+    return dict(
+        gain=np.ones(n),
+        beta=np.full((n, n), 0.3) - 0.3 * np.eye(n),
+        noise_mw=1.0,
+        p_max_dbm=np.full(n, 10.0),
+        n_power=3,
+    )
+
+
 def grid_close(got, expected, abs_tol=1e-3):
     return np.allclose(np.asarray(got), np.asarray(expected), atol=abs_tol)
 
@@ -261,6 +285,14 @@ class TestNetworkConfigValidation:
         assert cfg.interferers == ((1,), (0,))
         isolated = two_cell(0.0)
         assert isolated.interferers == ((), ())
+        # column i lists who hits user i: here 2 hits 0, 0 and 2 hit 1,
+        # and nobody hits 2
+        beta = np.array([[0.0, 0.4, 0.0], [0.0, 0.0, 0.0], [0.1, 0.2, 0.0]])
+        cfg = radio.NetworkConfig(**dict(valid_kwargs(3), beta=beta))
+        assert cfg.interferers == ((2,), (0, 2), ())
+        assert all(type(j) is int for js in cfg.interferers for j in js)
+        with pytest.raises(TypeError):
+            radio.NetworkConfig(**valid_kwargs(2), interferers=((), ()))
 
     def test_directional_beta_allowed(self):
         beta = np.array([[0.0, 0.2], [0.7, 0.0]])
@@ -275,18 +307,6 @@ class TestNetworkConfigValidation:
         assert radio.sinr(0, [1.0, 1.0], cfg) == pytest.approx(1.0 / (0.7 + 1.0))
         assert radio.sinr(1, [1.0, 1.0], cfg) == pytest.approx(2.0 / (0.4 + 1.0))
 
-    def test_explicit_interferers_must_match_beta(self):
-        beta = np.array([[0.0, 0.2], [0.7, 0.0]])
-        with pytest.raises(ValueError):
-            radio.NetworkConfig(
-                gain=np.array([1.0, 2.0]),
-                beta=beta,
-                noise_mw=1.0,
-                p_max_dbm=np.array([10.0, 10.0]),
-                n_power=3,
-                interferers=((), ()),
-            )
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -300,26 +320,28 @@ class TestNetworkConfigValidation:
         ],
     )
     def test_nonfinite_inputs_rejected_by_name(self, field, value):
-        kwargs = dict(
-            gain=np.array([1.0, 1.0]),
-            beta=np.array([[0.0, 0.3], [0.3, 0.0]]),
-            noise_mw=1.0,
-            p_max_dbm=np.array([10.0, 10.0]),
-            n_power=3,
-        )
+        kwargs = valid_kwargs(2)
         kwargs[field] = np.array(value) if isinstance(value, list) else value
         with pytest.raises(ValueError, match=field):
             radio.NetworkConfig(**kwargs)
 
-    @pytest.mark.parametrize("ids", [(-1,), (3,), (5,), (1, 1)])
-    def test_explicit_interferer_ids_out_of_range_or_repeated(self, ids):
-        # -1 would wrap to agent 2 and 1 twice would count agent 1 twice
-        with pytest.raises(ValueError, match="interferers of agent 0"):
-            radio.NetworkConfig(
-                gain=np.ones(3),
-                beta=np.zeros((3, 3)),
-                noise_mw=1.0,
-                p_max_dbm=np.full(3, 10.0),
-                n_power=3,
-                interferers=(ids, (), ()),
-            )
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beta", np.zeros((2, 3))),
+            ("beta", np.zeros(2)),
+            ("p_max_dbm", np.array([10.0, 10.0, 10.0])),
+            ("noise_mw", 0.0),
+            ("noise_mw", -1.0),
+            ("n_power", 3.0),
+            ("n_power", 2.5),
+            ("n_power", True),
+        ],
+    )
+    def test_malformed_inputs_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            radio.NetworkConfig(**dict(valid_kwargs(2), **{field: value}))
+
+    def test_numpy_integer_n_power_accepted(self):
+        cfg = radio.NetworkConfig(**dict(valid_kwargs(2), n_power=np.int64(3)))
+        assert radio.build_action_grid(cfg).n_power == 3

@@ -104,6 +104,13 @@ class TestVeViaMessages:
         with pytest.raises(ValueError):
             ve_via_messages(agents, (0, 0))
 
+    def test_agents_must_be_the_scoped_agents(self):
+        # agent 0's table mentions agent 2, which no agent is
+        rng = np.random.default_rng(9)
+        agents = make_coordination_agents([(0, 2), (1,)], rng)
+        with pytest.raises(ValueError, match=r"scopes mention \[0, 1, 2\] but the agents are \[0, 1\]"):
+            ve_via_messages(agents, (0, 1, 2))
+
     def test_unregistered_agent_unreachable(self):
         rng = np.random.default_rng(7)
         agents = make_coordination_agents([(0, 1), (0, 1)], rng)
@@ -114,43 +121,42 @@ class TestVeViaMessages:
 
 def setup_run(beta=0.3, n_power=5, **params_kw):
     cfg = radio.two_cell_config(beta, n_power=n_power)
-    grid = radio.build_action_grid(cfg)
-    agents = build_agents(cfg, grid)
+    agents = build_agents(cfg)
     bus = recording_bus(agents)
     params = LearningParams(**params_kw)
-    return cfg, grid, agents, bus, params
+    return cfg, agents, bus, params
 
 
 class TestRunEpisode:
     def test_greedy_episode_is_repeatable(self):
-        cfg, grid, agents, bus, params = setup_run(
+        cfg, agents, bus, params = setup_run(
             epsilon_start=0.0, epsilon_end=0.0
         )
         rng = np.random.default_rng(0)
-        t1 = run_episode(agents, cfg, grid, params, 0, rng, (1, 0), bus)
+        t1 = run_episode(agents, cfg, params, 0, rng, (1, 0), bus)
         # freeze tables: epsilon is 0 and alpha tiny would still learn, so
         # compare action selection across two episodes from identical tables
         snapshot = [a.local_q.values.copy() for a in agents]
-        t2 = run_episode(agents, cfg, grid, params, 1, rng, (1, 0), bus)
+        t2 = run_episode(agents, cfg, params, 1, rng, (1, 0), bus)
         for a, snap in zip(agents, snapshot):
             a.local_q.values[...] = snap
-        t3 = run_episode(agents, cfg, grid, params, 2, rng, (1, 0), bus)
+        t3 = run_episode(agents, cfg, params, 2, rng, (1, 0), bus)
         assert t2.actions == t3.actions
 
     def test_rewards_match_channel(self):
-        cfg, grid, agents, bus, params = setup_run(epsilon_start=0.8, epsilon_end=0.8)
+        cfg, agents, bus, params = setup_run(epsilon_start=0.8, epsilon_end=0.8)
         rng = np.random.default_rng(1)
         for e in range(20):
-            trace = run_episode(agents, cfg, grid, params, e, rng, (1, 0), bus)
+            trace = run_episode(agents, cfg, params, e, rng, (1, 0), bus)
             for i, r in enumerate(trace.rewards):
                 s = radio.sinr(i, trace.powers_mw, cfg)
                 assert r == pytest.approx(np.log2(1 + s), abs=1e-12)
             assert trace.sum_reward == pytest.approx(sum(trace.rewards), abs=1e-12)
 
     def test_feedback_messages_carry_true_sinr(self):
-        cfg, grid, agents, bus, params = setup_run(epsilon_start=1.0, epsilon_end=1.0)
+        cfg, agents, bus, params = setup_run(epsilon_start=1.0, epsilon_end=1.0)
         rng = np.random.default_rng(2)
-        trace = run_episode(agents, cfg, grid, params, 0, rng, (1, 0), bus)
+        trace = run_episode(agents, cfg, params, 0, rng, (1, 0), bus)
         feedback = [m for m in bus.log if isinstance(m, RewardFeedback)]
         assert len(feedback) == 2
         for msg in feedback:
@@ -166,21 +172,20 @@ class TestRunEpisode:
             p_max_dbm=np.array([10.0]),
             n_power=4,
         )
-        grid = radio.build_action_grid(cfg)
-        agents = build_agents(cfg, grid)
+        agents = build_agents(cfg)
         params = LearningParams(alpha=1.0, gamma=0.0, epsilon_start=1.0,
                                 epsilon_end=1.0)
         rng = np.random.default_rng(3)
-        trace = run_episode(agents, cfg, grid, params, 0, rng, (0,), InMemoryBus([0]))
+        trace = run_episode(agents, cfg, params, 0, rng, (0,), InMemoryBus([0]))
         a = trace.actions[0]
         expected = np.log2(1 + radio.sinr(0, trace.powers_mw, cfg))
         assert agents[0].local_q.values[a] == pytest.approx(expected, abs=1e-12)
 
     def test_message_count(self):
         # two full eliminations cost 3 messages each, plus 2 feedbacks
-        cfg, grid, agents, bus, params = setup_run(epsilon_start=0.0, epsilon_end=0.0)
+        cfg, agents, bus, params = setup_run(epsilon_start=0.0, epsilon_end=0.0)
         rng = np.random.default_rng(4)
-        trace = run_episode(agents, cfg, grid, params, 0, rng, (1, 0), bus)
+        trace = run_episode(agents, cfg, params, 0, rng, (1, 0), bus)
         assert trace.message_count == 3 + 2 + 3
 
     def test_square_graph_protocol(self):
@@ -207,7 +212,7 @@ class TestRunEpisode:
         for a in agents:
             a.local_q.values[...] = rng.uniform(-1, 1, a.local_q.values.shape)
         bus = recording_bus(agents)
-        run_episode(agents, cfg, grid, LearningParams(), 0, rng, (3, 2, 1, 0), bus)
+        run_episode(agents, cfg, LearningParams(), 0, rng, (3, 2, 1, 0), bus)
 
         def protocol(msg):
             if isinstance(msg, RewardFeedback):
@@ -354,3 +359,12 @@ class TestMessages:
         q = LocalQ(agent=0, scope=(0,), n_actions=(2,))
         with pytest.raises(ValueError):
             Agent(id=1, local_q=q, levels=np.zeros(2))
+
+    @pytest.mark.parametrize("n_levels", [2, 5])
+    def test_levels_must_match_own_table_axis(self, n_levels):
+        # 5 levels for 3 actions used to fail only when exploration drew
+        # action 3; 2 levels left action 2 of the table unexplored.
+        q = LocalQ(agent=1, scope=(0, 1), n_actions=(4, 3))
+        with pytest.raises(ValueError, match="levels"):
+            Agent(id=1, local_q=q, levels=np.linspace(0, 10, n_levels))
+        assert Agent(id=1, local_q=q, levels=np.linspace(0, 10, 3)).n_actions == 3
