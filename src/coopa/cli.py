@@ -264,8 +264,14 @@ def _sweep_point(task) -> list:
 
 
 def sweep_workers(n_points: int) -> int:
-    """Sweep parallelism: up to one process per point, capped by COOPA_THREADS."""
-    workers = min(n_points, os.cpu_count() or 1)
+    """Sweep parallelism: up to one process per point and per CPU this
+    process may run on (its affinity mask where the OS has one), capped
+    by COOPA_THREADS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(n_points, cpus)
     cap = os.environ.get("COOPA_THREADS")
     if cap:
         try:

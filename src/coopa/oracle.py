@@ -15,6 +15,10 @@ import numpy as np
 from . import radio
 from .coordgraph import MAX_BRUTE_FORCE
 
+# Most joint points the grid search evaluates at once, unless one level of
+# the leading agent alone spans more; a float64 array over 2**18 is 2 MiB.
+BLOCK_POINTS = 2**18
+
 __all__ = [
     "Allocation",
     "optimal_two_user",
@@ -75,8 +79,11 @@ def brute_force_grid_optimum(
 
     Ties break to the lexicographically lowest joint index. Refuses joint
     spaces above MAX_BRUTE_FORCE points, and a grid without one row per
-    agent or with a level outside [0, cap]. Evaluates all points at once
-    with radio.sum_throughput's arithmetic, so the value is the same float.
+    agent or with a level above its agent's cap. Evaluates the points with
+    radio.sum_throughput's arithmetic, so the value is the same float, in
+    blocks of the leading agent's levels that hold at most BLOCK_POINTS
+    points, or one level where that alone is more; this bounds the memory
+    the search holds.
     """
     n_combos = grid.n_power**grid.n_agents
     if n_combos > MAX_BRUTE_FORCE:
@@ -85,14 +92,19 @@ def brute_force_grid_optimum(
         )
     if grid.n_agents != cfg.n_agents:
         raise ValueError(f"grid has {grid.n_agents} rows for {cfg.n_agents} agents")
-    caps = cfg.p_max_mw[:, None] * (1.0 + 1e-12)
-    if not np.all((grid.levels >= 0) & (grid.levels <= caps)):
-        raise ValueError("grid levels must lie between 0 mW and each agent's cap")
-    powers = np.meshgrid(*grid.levels, indexing="ij", copy=False)
-    total = sum(radio.throughput(i, powers, cfg) for i in range(cfg.n_agents))
-    best = np.unravel_index(np.argmax(total), total.shape)
+    if np.any(grid.levels > cfg.p_max_mw[:, None] * (1.0 + 1e-12)):
+        raise ValueError("grid levels must not exceed each agent's cap")
+    lead, rest = grid.levels[0], grid.levels[1:]
+    rows = max(1, BLOCK_POINTS // grid.n_power ** (grid.n_agents - 1))
+    best, best_value = None, -np.inf
+    for lo in range(0, grid.n_power, rows):
+        powers = np.array(np.meshgrid(lead[lo : lo + rows], *rest, indexing="ij", copy=False))
+        total = sum(radio.throughput(i, powers, cfg) for i in range(cfg.n_agents))
+        k = np.unravel_index(np.argmax(total), total.shape)
+        if total[k] > best_value:  # a later block wins only when strictly better
+            best, best_value = (lo + k[0], *k[1:]), total[k]
     levels = tuple(float(grid.levels[i, a]) for i, a in enumerate(best))
-    return Allocation(levels, float(total[best]), "brute-force")
+    return Allocation(levels, float(best_value), "brute-force")
 
 
 def greedy_allocation(cfg: radio.NetworkConfig) -> Allocation:

@@ -121,11 +121,27 @@ class NetworkConfig:
 class ActionGrid:
     """Discrete transmit power levels, one row of n_power levels per agent.
 
-    Level 0 is always 0 mW and the last level is the linear power cap, so
-    the closed-form optimal allocations are representable on the grid.
+    build_action_grid starts each row at 0 mW and ends it at the linear
+    power cap, so the closed-form optimal allocations are representable on
+    the grid. Any grid needs at least two finite, non-negative levels per
+    row, strictly increasing.
     """
 
     levels: np.ndarray  # (n_agents, n_power), mW, strictly increasing rows
+
+    def __post_init__(self):
+        levels = np.asarray(self.levels, dtype=float)
+        object.__setattr__(self, "levels", levels)
+        if levels.ndim != 2 or levels.shape[1] < 2:
+            raise ValueError(
+                f"grid levels must be (n_agents, n_power >= 2), got shape {levels.shape}"
+            )
+        if not np.all(np.isfinite(levels)):
+            raise ValueError("grid levels must be finite")
+        if np.any(levels < 0):
+            raise ValueError("grid levels must be at least 0 mW")
+        if np.any(np.diff(levels, axis=1) <= 0):
+            raise ValueError("grid levels must increase strictly along each row")
 
     @property
     def n_agents(self) -> int:

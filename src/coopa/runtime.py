@@ -9,7 +9,10 @@ to whichever of the surviving scope agents is eliminated next. A reverse
 chain of assignment messages then fixes everyone's action. Per-user SINR
 comes back as feedback messages, and each agent updates its own table;
 updates touch disjoint tables, so they can run concurrently without
-changing the result.
+changing the result. Concurrent updates run on a pool of two workers,
+each taking one contiguous half of the agents in id order: an update is
+a few microseconds of GIL-bound Python, so two workers are the fewest
+that still overlap, and every further one only adds a thread start-up.
 
 The choreography depends only on the graph, the action sizes and the
 elimination order, none of which change during training: it is compiled
@@ -42,6 +45,9 @@ from .coordgraph import (
     ve_argmax,
 )
 from .learner import LearningParams, LocalQ, epsilon_at, explore_override, local_update
+
+# Fewest workers that still overlap; more only add thread start-ups.
+_POOL_WORKERS = 2
 
 __all__ = [
     "ShareQ",
@@ -249,6 +255,12 @@ def run_episode(
     elimination pass supplies the greedy joint action whose scoped slice
     each agent bootstraps on. Both passes replay one compiled plan; the
     second's memoized steps only compare their unchanged inputs.
+
+    With `parallel`, the updates run on a pool opened for this episode
+    with two workers (see the module docstring for why two): the agents,
+    in id order, split into two contiguous halves, the first taking the
+    extra agent of an odd count, and each worker updates its half in
+    order. The tables are disjoint, so the result is the sequential one.
     """
     agents = sorted(agents, key=lambda a: a.id)
     sent_before = bus.sent_count
@@ -268,17 +280,18 @@ def run_episode(
 
     a_greedy, _ = ve_via_messages(agents, order, bus)
 
-    def update(agent_reward: tuple[Agent, float]) -> None:
-        agent, reward = agent_reward
-        q = agent.local_q
-        local_update(q, q.slice_joint(taken), reward, q.slice_joint(a_greedy), params)
+    def update(batch) -> None:
+        for agent, reward in batch:
+            q = agent.local_q
+            local_update(q, q.slice_joint(taken), reward, q.slice_joint(a_greedy), params)
 
     if parallel and len(agents) > 1:
-        with ThreadPoolExecutor(max_workers=len(agents)) as pool:
-            list(pool.map(update, zip(agents, rewards)))
+        pairs = list(zip(agents, rewards))
+        half = (len(pairs) + 1) // 2
+        with ThreadPoolExecutor(max_workers=_POOL_WORKERS) as pool:
+            list(pool.map(update, (pairs[:half], pairs[half:])))
     else:
-        for pair in zip(agents, rewards):
-            update(pair)
+        update(zip(agents, rewards))
 
     return EpisodeTrace(
         episode=episode,
@@ -302,7 +315,8 @@ def train(
     """Run the full episode loop and return the trained agents and traces.
 
     Deterministic given the seed: same seed, same trace log, same final
-    tables, with or without parallel agent updates.
+    tables, with or without parallel agent updates. With `parallel`,
+    each episode updates the agents on its own two-worker pool.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")

@@ -182,6 +182,25 @@ class TestSweep:
         b = cli.run_sweep(config, tmp_path / "parallel.csv")
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_workers_follow_the_cpu_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("COOPA_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli.sweep_workers(21) == 1
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli.sweep_workers(21) == 3
+        assert cli.sweep_workers(2) == 2
+        monkeypatch.setenv("COOPA_THREADS", "2")
+        assert cli.sweep_workers(21) == 2
+
+    def test_workers_fall_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("COOPA_THREADS", raising=False)
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli.sweep_workers(21) == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.sweep_workers(21) == 1
+
     def test_bad_thread_cap(self, small_config, tmp_path, monkeypatch):
         config = cli.load_config(small_config)
         monkeypatch.setenv("COOPA_THREADS", "many")

@@ -103,6 +103,14 @@ class TestClosedForm:
             oracle.optimal_two_user(asym)
 
 
+@pytest.fixture(params=["default-blocks", "one-row-blocks"])
+def blocks(request, monkeypatch):
+    """Run a grid search test with the default block size, then again with
+    one level of the leading agent per block."""
+    if request.param == "one-row-blocks":
+        monkeypatch.setattr(oracle, "BLOCK_POINTS", 1)
+
+
 class TestGridOptimum:
     def test_reference_case(self):
         cfg = radio.two_cell_config(0.3, n_power=21)
@@ -143,7 +151,7 @@ class TestGridOptimum:
         )
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_equals_reference_on_random_networks(self, seed):
+    def test_equals_reference_on_random_networks(self, seed, blocks):
         rng = np.random.default_rng(seed)
         for n, n_power, max_beta in itertools.product((1, 2, 3), (2, 3, 5, 9), (0.2, 1.0)):
             cfg = random_network(rng, n, n_power, max_beta)
@@ -151,7 +159,7 @@ class TestGridOptimum:
             alloc = oracle.brute_force_grid_optimum(cfg, grid)
             assert (alloc.powers_mw, alloc.sum_throughput) == reference_grid_optimum(cfg, grid)
 
-    def test_equals_reference_with_zero_rows_in_beta(self):
+    def test_equals_reference_with_zero_rows_in_beta(self, blocks):
         # transmitter 1 hurts nobody and user 2 hears only transmitter 0
         beta = np.array([[0.0, 0.5, 0.7], [0.0, 0.0, 0.0], [0.2, 0.0, 0.0]])
         cfg = radio.NetworkConfig(
@@ -162,7 +170,7 @@ class TestGridOptimum:
         alloc = oracle.brute_force_grid_optimum(cfg, grid)
         assert (alloc.powers_mw, alloc.sum_throughput) == reference_grid_optimum(cfg, grid)
 
-    def test_equals_reference_over_the_41_level_beta_sweep(self):
+    def test_equals_reference_over_the_41_level_beta_sweep(self, blocks):
         # criterion 5's grid and betas
         for beta in np.arange(0.05, 1.0001, 0.05):
             cfg = radio.two_cell_config(float(beta), n_power=41)
@@ -170,7 +178,7 @@ class TestGridOptimum:
             alloc = oracle.brute_force_grid_optimum(cfg, grid)
             assert (alloc.powers_mw, alloc.sum_throughput) == reference_grid_optimum(cfg, grid)
 
-    def test_ties_break_to_lowest_joint_index(self):
+    def test_ties_break_to_lowest_joint_index(self, blocks):
         # identical users at beta = 1: one user alone at full power is best,
         # and (0, 10) and (10, 0) mW tie exactly; joint index (0, 2) wins
         cfg = radio.two_cell_config(1.0, g1=1.0, g2=1.0, p1_max_dbm=10.0,
@@ -178,6 +186,31 @@ class TestGridOptimum:
         grid = radio.build_action_grid(cfg)
         alloc = oracle.brute_force_grid_optimum(cfg, grid)
         assert alloc.powers_mw == reference_grid_optimum(cfg, grid)[0] == (0.0, 10.0)
+
+    def test_tie_across_a_block_boundary_keeps_the_first(self, monkeypatch):
+        # blocks of two and one of agent 0's three levels: (0, 10) and
+        # (10, 0) mW tie exactly in different blocks, and the earlier wins
+        monkeypatch.setattr(oracle, "BLOCK_POINTS", 6)
+        cfg = radio.two_cell_config(1.0, g1=1.0, g2=1.0, p1_max_dbm=10.0,
+                                    p2_max_dbm=10.0, n_power=3)
+        alloc = oracle.brute_force_grid_optimum(cfg, radio.build_action_grid(cfg))
+        assert alloc.powers_mw == (0.0, 10.0)
+
+    def test_block_size_bounds_the_points_per_block(self, monkeypatch):
+        # 2 cells at 3000 levels: 2**18 points hold 87 leading levels
+        calls = []
+        original = radio.throughput
+
+        def recording_throughput(i, powers, cfg):
+            calls.append(powers.shape)
+            return original(i, powers, cfg)
+
+        monkeypatch.setattr(radio, "throughput", recording_throughput)
+        cfg = radio.two_cell_config(0.3, n_power=3000)
+        alloc = oracle.brute_force_grid_optimum(cfg, radio.build_action_grid(cfg))
+        assert alloc.powers_mw == (0.0, pytest.approx(CAP2_MW))
+        assert max(n * m for _, n, m in calls) <= oracle.BLOCK_POINTS
+        assert sum(n * m for _, n, m in calls) == 2 * 3000**2
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_grid_must_have_one_row_per_agent(self, rows):
@@ -193,6 +226,15 @@ class TestGridOptimum:
         levels[0, 1] = bad  # agent 0's cap is 10 mW
         with pytest.raises(ValueError, match="grid levels"):
             oracle.brute_force_grid_optimum(cfg, radio.ActionGrid(levels))
+
+    def test_increasing_row_above_the_cap_rejected(self):
+        # a well-formed grid, but agent 0's top level exceeds its 10 mW cap
+        cfg = radio.two_cell_config(0.3, n_power=3)
+        levels = radio.build_action_grid(cfg).levels.copy()
+        levels[0] = [0.0, 5.0, 10.5]
+        grid = radio.ActionGrid(levels)
+        with pytest.raises(ValueError, match="grid levels must not exceed"):
+            oracle.brute_force_grid_optimum(cfg, grid)
 
 
 class TestBaselines:

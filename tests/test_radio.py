@@ -231,6 +231,30 @@ class TestActionGrid:
         with pytest.raises(ValueError, match="power indices"):
             grid.powers(action)
 
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            [0.0, 5.0, 10.0],  # one row, but not 2-D
+            [[[0.0, 5.0]]],
+            [[0.0], [0.0]],  # one level per row
+            np.zeros((2, 0)),
+            [[0.0, 5.0, 10.0], [0.0, np.nan, 10.0]],
+            [[0.0, 5.0, np.inf]],
+            [[-1.0, 5.0, 10.0]],
+            [[10.0, 0.0, 5.0]],  # not increasing
+            [[0.0, 5.0, 5.0]],  # not strictly increasing
+            [[0.0, 5.0, 10.0], [0.0, 10.0, 5.0]],
+        ],
+    )
+    def test_malformed_levels_rejected(self, levels):
+        with pytest.raises(ValueError, match="^grid levels"):
+            radio.ActionGrid(levels)
+
+    def test_levels_stored_as_a_float_array(self):
+        grid = radio.ActionGrid([[0, 5, 10], [0, 1, 2]])
+        assert grid.levels.dtype == float
+        assert (grid.n_agents, grid.n_power) == (2, 3)
+
 
 def valid_kwargs(n):
     """NetworkConfig arguments for n cells that all interfere at 0.3."""

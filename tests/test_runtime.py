@@ -1,9 +1,11 @@
 """Orchestration tests: message choreography, episodes, determinism."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from coopa import radio
+from coopa import radio, runtime
 from coopa.coordgraph import compiled_plan, ve_argmax
 from coopa.learner import LearningParams
 from coopa.runtime import (
@@ -36,6 +38,20 @@ def make_coordination_agents(scopes, rng, n_actions=2):
 
 def recording_bus(agents):
     return InMemoryBus((a.id for a in agents), record=True)
+
+
+def ring_config(cells):
+    """A ring where each cell interferes with its two neighbours only."""
+    beta = np.zeros((cells, cells))
+    for i in range(cells):
+        beta[i, (i + 1) % cells] = beta[(i + 1) % cells, i] = 0.3
+    return radio.NetworkConfig(
+        gain=np.resize([2.5, 1.5], cells),
+        beta=beta,
+        noise_mw=1.0,
+        p_max_dbm=np.resize([10.0, 13.0], cells),
+        n_power=5,
+    )
 
 
 class TestVeViaMessages:
@@ -256,19 +272,12 @@ class TestTrain:
         for a, b in zip(seq_agents, par_agents):
             assert np.array_equal(a.local_q.values, b.local_q.values)
 
-    def test_parallel_equals_sequential_on_a_ring(self):
-        # 4-cell ring: min-degree eliminations induce tables over 3 agents,
-        # which the two-cell case never reaches, with the pool running.
-        beta = np.zeros((4, 4))
-        for i in range(4):
-            beta[i, (i + 1) % 4] = beta[(i + 1) % 4, i] = 0.3
-        cfg = radio.NetworkConfig(
-            gain=np.array([2.5, 1.5, 2.5, 1.5]),
-            beta=beta,
-            noise_mw=1.0,
-            p_max_dbm=np.array([10.0, 13.0, 10.0, 13.0]),
-            n_power=5,
-        )
+    @pytest.mark.parametrize("cells", [4, 5])
+    def test_parallel_equals_sequential_on_a_ring(self, cells):
+        # min-degree eliminations on a ring induce tables over 3 agents,
+        # which the two-cell case never reaches, with the pool running;
+        # 5 cells split unevenly between the pool's two workers.
+        cfg = ring_config(cells)
         params = LearningParams(epsilon_decay_episodes=150)
         runs = [
             train(cfg, params, episodes=200, seed=5, order_strategy="min-degree", parallel=p)
@@ -278,6 +287,41 @@ class TestTrain:
         assert seq_traces == par_traces
         for a, b in zip(seq_agents, par_agents):
             assert a.local_q.values.tobytes() == b.local_q.values.tobytes()
+
+    def test_parallel_updates_run_on_a_two_worker_pool(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(runtime.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.max_workers, self.batches = max_workers, []
+                pools.append(self)
+
+            def submit(self, fn, batch):
+                self.batches.append([agent.id for agent, _ in batch])
+                return super().submit(fn, batch)
+
+        updates = []
+        original = runtime.local_update
+
+        def recording_update(q, *args):
+            updates.append((q.agent, threading.get_ident()))
+            return original(q, *args)
+
+        monkeypatch.setattr(runtime, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(runtime, "local_update", recording_update)
+        episodes = 4
+        train(ring_config(5), LearningParams(), episodes=episodes, seed=0, parallel=True)
+
+        # one pool per episode, two workers, the id-ordered halves 3 + 2
+        assert [(p.max_workers, p.batches) for p in pools] == [
+            (2, [[0, 1, 2], [3, 4]])
+        ] * episodes
+        # each episode's pool is shut down before the next one opens
+        for e in range(episodes):
+            assert sorted(a for a, _ in updates[5 * e : 5 * (e + 1)]) == list(range(5))
+        assert len(updates) == 5 * episodes
+        assert threading.get_ident() not in {thread for _, thread in updates}
 
     def test_learns_reference_two_cell_optimum(self):
         # small grid so the full run stays fast; the full-size case is in
