@@ -36,6 +36,7 @@ from .radio import (
 from .runtime import (
     Agent,
     Assignment,
+    Coordination,
     EpisodeTrace,
     FFunction,
     InMemoryBus,
@@ -56,6 +57,7 @@ __all__ = [
     "Agent",
     "Allocation",
     "Assignment",
+    "Coordination",
     "CoordinationGraph",
     "EpisodeTrace",
     "FFunction",

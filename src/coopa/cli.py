@@ -212,6 +212,10 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigValueError(
             f"[experiment] episodes must be at least 1, got {config.episodes}"
         )
+    if isinstance(config.seed, bool) or not isinstance(config.seed, int) or config.seed < 0:
+        raise ConfigValueError(
+            f"[experiment] seed must be a non-negative integer, got {config.seed!r}"
+        )
     if any(not 0 <= b <= 1 for b in config.betas):
         raise ConfigValueError("[experiment] betas must all lie in [0, 1]")
     return config
@@ -406,7 +410,7 @@ def _load_with_overrides(args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if getattr(args, "out", None) is not None and args.command != "surface":
         updates["out_dir"] = args.out
-    return replace(config, **updates) if updates else config
+    return _validate(replace(config, **updates)) if updates else config
 
 
 def main(argv=None) -> int:

@@ -16,8 +16,11 @@ EliminationPlan works that out, and validates it, once, and every exact
 maximization here is one run of a plan. compiled_plan keeps
 recent plans keyed on what they are built from, so a training loop that
 maximizes the same graph every episode compiles it once and replays it.
-A run given StepMemos does only part of the arithmetic: each large step
-recomputes just the joint rows whose inputs changed since its last run.
+A BoundPlan binds a plan to input tables whose writers log what they
+write (learner.LocalQ), once per training run. Its runs keep a StepMemo
+per step: a step whose tables nobody wrote since its last run returns
+that run's result, and a large one recomputes just the joint rows that
+the written entries, or the changed entries of earlier steps, reach.
 Tables the kernel derives skip FunctionTable's validation; each
 conditional-value table is checked to be finite, which catches a sum
 that overflows and a non-finite input that reaches a row's maximum.
@@ -41,6 +44,7 @@ __all__ = [
     "FunctionTable",
     "CoordinationGraph",
     "EliminationPlan",
+    "BoundPlan",
     "StepMemo",
     "compiled_plan",
     "eliminate_agent",
@@ -198,13 +202,16 @@ class Layout(NamedTuple):
 
     The joint table has axes remaining + (agent,) and shape joint_shape;
     views holds one (perm, shape) per summed table (see _views), and rows
-    the flat index of each joint row's first entry.
+    the flat index of each joint row's first entry. marks holds, per
+    summed table, its shape and, for each remaining agent, that agent's
+    axis in the table or None: which joint rows an entry reaches.
     """
 
     remaining: tuple[int, ...]
     views: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     joint_shape: tuple[int, ...]
     rows: np.ndarray
+    marks: tuple[tuple[tuple[int, ...], tuple[int | None, ...]], ...]
 
 
 def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
@@ -219,7 +226,11 @@ def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
     joint_shape = tuple(sizes[a] for a in joint)
     rows = np.arange(0, math.prod(joint_shape), joint_shape[-1])
     rows.flags.writeable = False  # shared by every run of a cached plan
-    return Layout(tuple(remaining), _views(scopes, joint, sizes), joint_shape, rows)
+    marks = tuple(
+        (tuple(sizes[a] for a in scope), tuple(scope.index(a) if a in scope else None for a in remaining))
+        for scope in scopes
+    )
+    return Layout(tuple(remaining), _views(scopes, joint, sizes), joint_shape, rows, marks)
 
 
 def eliminate_agent(
@@ -275,8 +286,8 @@ class PlanStep(NamedTuple):
     the agent its conditional-value table goes to (None for the last
     step); senders holds (owner, birth) of the gathered tables that other
     agents own, by owner id, and is empty when the plan has no owners.
-    memo says whether a run given memos continues this step from one: its
-    result has a scope and its joint table MEMO_MIN_ENTRIES entries.
+    memo says whether a BoundPlan recomputes just this step's dirty rows:
+    its result has a scope and its joint table MEMO_MIN_ENTRIES entries.
     """
 
     agent: int
@@ -288,60 +299,156 @@ class PlanStep(NamedTuple):
 
 
 class StepMemo:
-    """A memoized step's last run: key (plan, step index), the values of
-    the tables it gathered (inputs), and the f and b it returned."""
+    """A plan step's last result in a BoundPlan.
 
-    key = None  # until a run fills it
+    f and b are the conditional-value and best-response tables the step
+    last returned, and seen the version of each table it gathered then.
+    version counts the runs that changed f; changed holds the flat indices
+    of the entries of f the latest one changed (None: all of them).
+    """
+
+    __slots__ = ("f", "b", "seen", "version", "changed")
+
+    def __init__(self):
+        self.f = self.b = self.seen = self.changed = None
+        self.version = 0
+
+    def changes_since(self, version: int):
+        """Flat indices of the entries of f changed after `version`, or
+        None when that is not known."""
+        if version == self.version:
+            return ()
+        return self.changed if version == self.version - 1 else None
 
 
-def _reeliminate(functions, step: PlanStep, memo: StepMemo, key, n_inputs: int) -> tuple:
-    """eliminate_agent's f and b for a memoized step, continued from `memo`.
+def _dirty_rows(layout: Layout, sources, seen) -> np.ndarray | None:
+    """Flat indices of the joint rows that the changes to the gathered
+    tables since `seen` reach, or None when a change is not known."""
+    dirty = np.zeros(layout.joint_shape[:-1], dtype=bool)
+    for source, version, (shape, axes) in zip(sources, seen, layout.marks):
+        entries = source.changes_since(version)
+        if entries is None:
+            return None
+        if len(entries):
+            at = np.unravel_index(entries, shape)
+            dirty[tuple(slice(None) if k is None else at[k] for k in axes)] = True
+    return np.flatnonzero(dirty)
 
-    Each gathered table is compared (!=) with the memo's copy, whoever
-    wrote it; a table born in this run (birth >= n_inputs) is kept as is,
-    since the plan never writes a table it handed out. A +0.0 <-> -0.0
-    write goes unseen, harmlessly: sums start from +0.0 (_aligned_sum), so
-    no result depends on a zero's sign. Each joint row a change reaches
-    sums the same tables in the same order from +0.0 as the full kernel,
-    so f and b there equal its bits and action indices; other rows keep
-    the memo's, in copies, as b in the smallest integer type. A memo of
-    another plan or step, or too many dirty rows, takes the full kernel.
-    The memo changes only after success, so a raise repeats.
+
+def _run_step(step: PlanStep, memo: StepMemo, functions, sources, aligned, seen) -> FunctionTable:
+    """Run one step, continuing from its memo where that pays, and update
+    the memo; returns the step's f.
+
+    A memoized step with at most MEMO_MAX_DIRTY_SHARE of its joint rows
+    dirty recomputes just those. Each sums the same tables in the same
+    order from +0.0 as the full kernel, so f and b there equal its bits
+    and action indices; other rows keep the memo's, in copies, with b in
+    the smallest integer type. Every other run takes eliminate_agent in
+    full. An f with a scope, which a later step gathers, is returned as
+    the memo's object when equal to it (f never holds -0.0, see
+    _aligned_sum, so equal values are equal bits), so that step sees no
+    change; the entries that changed are logged in the memo.
+    `aligned` holds the bound view of each gathered input table, None for
+    a born one.
     """
     layout = step.layout
-    if memo.key == key:
-        dirty = np.zeros(layout.joint_shape[:-1], dtype=bool)
-        for fn, old, (perm, shape) in zip(functions, memo.inputs, layout.views):
-            diff = fn.values is not old and fn.values != old  # `is`: a born table returned again
-            if np.any(diff):
-                np.logical_or(dirty, diff.transpose(perm).reshape(shape).any(axis=-1), out=dirty)
-        if not dirty.any():
-            return memo.f, memo.b
-        rows = np.flatnonzero(dirty)
-    if memo.key == key and rows.size <= MEMO_MAX_DIRTY_SHARE * dirty.size:
-        idx = np.unravel_index(rows, dirty.shape)
+    rows = None
+    if step.memo and memo.seen is not None:
+        rows = _dirty_rows(layout, sources, memo.seen)
+    if rows is not None and rows.size <= MEMO_MAX_DIRTY_SHARE * layout.rows.size:
+        idx = np.unravel_index(rows, layout.joint_shape[:-1])
         total = np.zeros((rows.size, layout.joint_shape[-1]))
-        for fn, (perm, shape) in zip(functions, layout.views):
+        for fn, view, (perm, shape) in zip(functions, aligned, layout.views):
+            if view is None:
+                view = fn.values.transpose(perm).reshape(shape)
             # Unit axes of the view (agents the table does not mention) take index 0.
-            at = tuple(i if n != 1 else 0 for i, n in zip(idx, shape))
-            np.add(total, fn.values.transpose(perm).reshape(shape)[at], out=total)
+            np.add(total, view[tuple(i if n != 1 else 0 for i, n in zip(idx, shape))], out=total)
         best = total.argmax(axis=-1)
         values = total[np.arange(rows.size), best]
         _check_finite(values, step.agent)
-        f, b = memo.f.values.copy(), memo.b.values.copy()
-        np.put(f, rows, values)
+        b = memo.b.values.copy()
         np.put(b, rows, best)
-        f, b = (FunctionTable._trusted(layout.remaining, v) for v in (f, b))
+        b = FunctionTable._trusted(layout.remaining, b)
+        moved = values != memo.f.values.take(rows)
+        changed = rows[moved]
+        f = memo.f
+        if changed.size:
+            f = memo.f.values.copy()
+            np.put(f, changed, values[moved])
+            f = FunctionTable._trusted(layout.remaining, f)
     else:
         f, b, _ = eliminate_agent(functions, step.agent, layout=layout)
-        small = np.min_scalar_type(layout.joint_shape[-1] - 1)
-        b = FunctionTable._trusted(b.scope, b.values.astype(small))
-    memo.inputs = [
-        fn.values if birth >= n_inputs else fn.values.copy()
-        for birth, fn in zip(step.gather, functions)
-    ]
-    memo.key, memo.f, memo.b = key, f, b
-    return f, b
+        if step.memo:
+            b = FunctionTable._trusted(b.scope, b.values.astype(np.min_scalar_type(layout.joint_shape[-1] - 1)))
+        changed = None
+        if layout.remaining and memo.f is not None:
+            changed = (f.values != memo.f.values).ravel().nonzero()[0]
+            if not changed.size:
+                f = memo.f
+    memo.f, memo.b, memo.seen = f, b, seen
+    if changed is None or changed.size:
+        memo.version += 1
+        memo.changed = changed
+    return f
+
+
+class BoundPlan:
+    """An EliminationPlan bound to fixed input tables, for repeated runs.
+
+    Each input table's array must stay the same object and change only in
+    place, through a writer that logs its writes: trackers[i], for input
+    i, has a `version` and changes_since(version) (LocalQ does). Each step
+    keeps a StepMemo, which tracks its f the same way. A step whose
+    gathered tables are all at the versions of its last run returns that
+    run's f and b; a memoized step (PlanStep.memo) takes its dirty rows
+    from the writers' logs and the rows the steps before it changed; any
+    other step runs eliminate_agent in full. The result equals a fresh
+    run's bit for bit. A step updates its memo only once it succeeded, so
+    a run that raises leaves no memo ahead of the tables it saw. Without
+    trackers every run is a fresh one.
+    """
+
+    def __init__(self, plan: EliminationPlan, tables, trackers=None):
+        self.plan = plan
+        self.tables = tuple(tables)
+        self.memos = tuple(StepMemo() for _ in plan.steps)
+        self._tracked = trackers is not None
+        n = len(self.tables)
+        sources = [*(trackers or [None] * n), *self.memos]
+        self._steps = tuple(
+            (
+                step,
+                memo,
+                tuple(sources[i] for i in step.gather),
+                tuple(
+                    self.tables[i].values.transpose(perm).reshape(shape) if i < n and step.memo else None
+                    for i, (perm, shape) in zip(step.gather, step.layout.views)
+                ),
+            )
+            for step, memo in zip(plan.steps, self.memos)
+        )
+        self._born = list(self.tables) + [None] * len(plan.steps)
+
+    def run(self) -> tuple[dict[int, int], float, list[FunctionTable]]:
+        """EliminationPlan.run on the bound tables' current values."""
+        born = self._born
+        k = len(self.tables)
+        for step, memo, sources, aligned in self._steps:
+            seen = None
+            if self._tracked:
+                seen = tuple([source.version for source in sources])
+            if seen is not None and seen == memo.seen:
+                born[k] = memo.f
+            else:
+                born[k] = _run_step(step, memo, [born[i] for i in step.gather], sources, aligned, seen)
+            k += 1
+        value = 0.0
+        for i in self.plan.finished:
+            value += float(born[i].values)
+        assignment: dict[int, int] = {}
+        for step, memo in zip(reversed(self.plan.steps), reversed(self.memos)):
+            assignment[step.agent] = int(memo.b.values[tuple([assignment[a] for a in step.layout.remaining])])
+        return assignment, value, born[len(self.tables):]
 
 
 class EliminationPlan:
@@ -406,7 +513,7 @@ class EliminationPlan:
         self.steps = tuple(steps)
         self.finished = tuple(finished)
 
-    def run(self, tables, memos=None) -> tuple[dict[int, int], float, list[FunctionTable]]:
+    def run(self, tables) -> tuple[dict[int, int], float, list[FunctionTable]]:
         """Maximize the sum of `tables`, one per input birth.
 
         Eliminates every agent in order, sums the finished components'
@@ -414,29 +521,10 @@ class EliminationPlan:
         best response to the agents already decided. Returns the joint
         action {agent: action index}, keyed in that reverse order, the
         attained value, and each step's conditional-value table. The
-        caller makes sure the tables fit the plan.
-
-        `memos`, when given, maps each agent to its StepMemo; each memoized
-        step continues from its agent's memo and updates it, with the same
-        result, bit for bit, as a run without memos.
+        caller makes sure the tables fit the plan. A BoundPlan repeats
+        this on tables that change between runs.
         """
-        born = list(tables)
-        best = []
-        for k, step in enumerate(self.steps):
-            gathered = [born[i] for i in step.gather]
-            if step.memo and memos is not None:
-                f, b = _reeliminate(gathered, step, memos[step.agent], (self, k), len(tables))
-            else:
-                f, b, _ = eliminate_agent(gathered, step.agent, layout=step.layout)
-            born.append(f)
-            best.append(b)
-        value = 0.0
-        for k in self.finished:
-            value += float(born[k].values)
-        assignment: dict[int, int] = {}
-        for step, b in zip(reversed(self.steps), reversed(best)):
-            assignment[step.agent] = int(b.values[tuple(assignment[a] for a in b.scope)])
-        return assignment, value, born[len(tables):]
+        return BoundPlan(self, tables).run()
 
 
 @functools.lru_cache(maxsize=64)

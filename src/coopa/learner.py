@@ -4,18 +4,31 @@ Each agent owns one table (the channel is stateless) over the joint actions
 of its scope: itself plus the agents it coordinates with. The update writes
 one entry from the observed reward and the bootstrap value of the scoped
 slice of the jointly-greedy action, which the coordinator supplies.
+
+The table owns its writes: outside the update and LocalQ.write it is
+read-only, and every write is logged by flat index. The coordinator's
+eliminations read that log to learn what changed since they last ran
+(coordgraph.BoundPlan).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coordgraph import FunctionTable
 
 __all__ = ["LearningParams", "LocalQ", "local_update", "epsilon_at", "explore_override"]
+
+
+def require_count(name: str, value) -> None:
+    """Raise ValueError naming `name` unless value is an int or a numpy
+    integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,40 +52,85 @@ class LearningParams:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.epsilon_start < self.epsilon_end:
             raise ValueError("epsilon_start must be >= epsilon_end")
+        require_count("epsilon_decay_episodes", self.epsilon_decay_episodes)
         if self.epsilon_decay_episodes < 0:
             raise ValueError("epsilon_decay_episodes must be nonnegative")
 
 
-@dataclass
 class LocalQ:
-    """Q-table of one agent over its scope's joint actions.
+    """Q-table of one agent over its scope's joint actions, which owns its writes.
 
     n_actions gives the action-set size of each scope agent, in scope
     order. The table starts at zero unless values are given, which are
-    held as a float array.
+    copied into a float array. `values` is a read-only view of it: the
+    table changes only through local_update and write, and both log every
+    entry they write by flat (C-order) index. A reader that noted
+    `version` learns what was written since from changes_since, without
+    keeping a copy to compare against.
     """
 
-    agent: int
-    scope: tuple[int, ...]
-    n_actions: tuple[int, ...]
-    values: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.scope = tuple(int(a) for a in self.scope)
-        self.n_actions = tuple(int(n) for n in self.n_actions)
+    def __init__(self, agent: int, scope, n_actions, values=None):
+        self.agent = agent
+        self.scope = tuple(int(a) for a in scope)
+        self.n_actions = tuple(int(n) for n in n_actions)
         if self.agent not in self.scope:
             raise ValueError(f"scope {self.scope} must contain the owner {self.agent}")
         if len(self.n_actions) != len(self.scope):
             raise ValueError("n_actions must give one size per scope agent")
-        if self.values is None:
-            self.values = np.zeros(self.n_actions)
-        self.values = np.asarray(self.values, dtype=float)
-        if np.shape(self.values) != self.n_actions:
-            raise ValueError(
-                f"table has shape {np.shape(self.values)}, expected {self.n_actions}"
-            )
-        if not np.all(np.isfinite(self.values)):
+        table = np.zeros(self.n_actions) if values is None else np.array(values, dtype=float)
+        if table.shape != self.n_actions:
+            raise ValueError(f"table has shape {table.shape}, expected {self.n_actions}")
+        if not np.all(np.isfinite(table)):
             raise ValueError(f"table of agent {self.agent} must be finite")
+        self._flat = table.reshape(-1)  # the one writeable alias
+        self.size = table.size
+        self._values = table.view()
+        self._values.flags.writeable = False
+        self.version = 0  # entries written so far
+        self._log: list[int] = []  # flat indices of the last writes, oldest first
+        self._log_start = 0  # version before _log[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The table, read-only; write through local_update or write."""
+        return self._values
+
+    def write(self, key, value) -> None:
+        """values[key] = value, for any numpy index `key`, logged.
+
+        Unchecked, like an assignment: a non-finite entry is caught only
+        where it reaches an elimination's result (coordgraph).
+        """
+        entries = np.arange(self.size).reshape(self.n_actions)[key]
+        self._flat.reshape(self.n_actions)[key] = value
+        self._note(np.ravel(entries).tolist())
+
+    def _note(self, entries: list[int]) -> None:
+        self._log += entries
+        self.version += len(entries)
+        if len(self._log) > 2 * self.size:
+            # A reader this far behind recomputes everything anyway.
+            drop = len(self._log) - self.size
+            del self._log[:drop]
+            self._log_start += drop
+
+    def changes_since(self, version: int):
+        """Flat indices written after `version` (repeats possible), or None
+        when the log no longer reaches back that far."""
+        start = version - self._log_start
+        return None if start < 0 else self._log[start:]
+
+    def entry(self, action) -> int:
+        """Flat index of a scoped action: ValueError outside the table,
+        TypeError for an index that is not an integer."""
+        if len(action) != len(self.n_actions):
+            raise ValueError(f"invalid scoped action {tuple(action)} for scope {self.scope}")
+        flat = 0
+        for k, n in zip(action, self.n_actions):
+            if not 0 <= k < n:
+                raise ValueError(f"invalid scoped action {tuple(action)} for scope {self.scope}")
+            flat = flat * n + operator.index(k)
+        return flat
 
     def table(self, state) -> np.ndarray:
         """The table; state must be 0 and stays only for bench/workloads.py."""
@@ -91,7 +149,7 @@ class LocalQ:
 
     def slice_joint(self, joint: dict[int, int]) -> tuple[int, ...]:
         """Restrict a joint action {agent: index} to this scope, in order."""
-        return tuple(joint[a] for a in self.scope)
+        return tuple([joint[a] for a in self.scope])
 
 
 def local_update(
@@ -104,26 +162,21 @@ def local_update(
     """One-step Q-learning update of a single entry of q's table, in place.
 
     q(a_j) += alpha * (r_j + gamma * q(a_star_j) - q(a_j)), where a_star_j
-    is this agent's scoped slice of the jointly-greedy action. Raises
-    ValueError, leaving the table as it was, when the new entry would not
-    be finite: a NaN or infinite reward, or an overflow.
+    is this agent's scoped slice of the jointly-greedy action. The write
+    is logged (LocalQ). Raises ValueError, leaving the table as it was,
+    when the new entry would not be finite: a NaN or infinite reward, or
+    an overflow.
     """
-    tab = q.values
-    a_j = tuple(a_j)
-    a_star_j = tuple(a_star_j)
-    for action in (a_j, a_star_j):
-        if len(action) != len(q.scope) or any(
-            not 0 <= k < n for k, n in zip(action, q.n_actions)
-        ):
-            raise ValueError(f"invalid scoped action {action} for scope {q.scope}")
-    bootstrap = tab[a_star_j]
-    old = tab[a_j]
-    new = old + params.alpha * (r_j + params.gamma * bootstrap - old)
+    at = q.entry(a_j)
+    flat = q._flat
+    old = flat.item(at)
+    new = old + params.alpha * (r_j + params.gamma * flat.item(q.entry(a_star_j)) - old)
     if not math.isfinite(new):
         raise ValueError(
-            f"agent {q.agent}: updating Q{a_j} with reward {r_j!r} gives {float(new)}, not a finite value"
+            f"agent {q.agent}: updating Q{tuple(a_j)} with reward {r_j!r} gives {float(new)}, not a finite value"
         )
-    tab[a_j] = new
+    flat[at] = new
+    q._note([at])
 
 
 def epsilon_at(episode: int, params: LearningParams) -> float:

@@ -15,13 +15,16 @@ a few microseconds of GIL-bound Python, so two workers are the fewest
 that still overlap, and every further one only adds a thread start-up.
 
 The choreography depends only on the graph, the action sizes and the
-elimination order, none of which change during training: it is compiled
-into a coordgraph.EliminationPlan at a training run's first elimination,
-and every later one replays that schedule (coordgraph.compiled_plan) on
-the current table values. The plan's one run computes every message's
-content, so the backhaul only checks, counts and logs what is sent; it
-does not deliver. Each agent's memo of its last elimination lets a
-large one recompute only the joint rows whose inputs changed since.
+elimination order, none of which change during training, and the tables
+are the agents' arrays, changed in place. So `train` binds it once: a
+Coordination holds the agents, the compiled coordgraph.EliminationPlan
+bound to their tables (coordgraph.BoundPlan), the bus and the send
+schedule, checked against the bus's agents once. The plan's one run
+computes every message's content, so the backhaul only counts and logs
+what is sent; it does not deliver. The tables are written only through
+LocalQ, which logs each write, so an elimination step whose tables were
+not written since its last run returns that run's result, and a large
+one recomputes only the joint rows that the written entries reach.
 
 Everything is deterministic under a fixed seed, regardless of scheduling.
 """
@@ -30,21 +33,28 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import radio
 from .coordgraph import (
+    BoundPlan,
     CoordinationGraph,
     FunctionTable,
-    StepMemo,
     compiled_plan,
     default_elimination_order,
     eliminate_agent,  # noqa: F401  re-exported: tracing tools wrap it by this name
     ve_argmax,
 )
-from .learner import LearningParams, LocalQ, epsilon_at, explore_override, local_update
+from .learner import (
+    LearningParams,
+    LocalQ,
+    epsilon_at,
+    explore_override,
+    local_update,
+    require_count,
+)
 
 # Fewest workers that still overlap; more only add thread start-ups.
 _POOL_WORKERS = 2
@@ -56,6 +66,7 @@ __all__ = [
     "RewardFeedback",
     "InMemoryBus",
     "Agent",
+    "Coordination",
     "EpisodeTrace",
     "ve_via_messages",
     "run_episode",
@@ -66,7 +77,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# Messages are built on every send, so they are slotted, not frozen: a
+# frozen dataclass costs about three times as much to construct. Nothing
+# changes a message after it is sent.
+
+
+@dataclass(slots=True)
 class _InterAgent:
     """A message from one agent to another."""
 
@@ -78,28 +94,28 @@ class _InterAgent:
             raise ValueError("inter-agent message must have sender != recipient")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ShareQ(_InterAgent):
     """A local Q-table shared with the agent about to be eliminated."""
 
     table: FunctionTable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FFunction(_InterAgent):
     """A conditional-value table forwarded after eliminating one agent."""
 
     table: FunctionTable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assignment(_InterAgent):
     """Partial joint action flowing back along the recovery chain."""
 
     actions: dict
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RewardFeedback:
     """SINR measured by an agent's user and fed back to it."""
 
@@ -111,19 +127,17 @@ class InMemoryBus:
     """Process-local backhaul among fixed agents: the send side, no delivery.
 
     Every message's content is known when it is sent, so nothing is
-    queued. A send must name one of the bus's agents; each one is counted,
-    and kept in `log` when recording.
+    queued. Each send is counted, and kept in `log` when recording. Its
+    addressee is not checked: a Coordination checks once, when bound,
+    that every agent it sends to is one of the bus's `agents`.
     """
 
     def __init__(self, agent_ids, record: bool = False):
-        self._agents = frozenset(agent_ids)
+        self.agents = frozenset(agent_ids)
         self.sent_count = 0
         self.log: list | None = [] if record else None
 
     def send(self, msg) -> None:
-        recipient = msg.agent if isinstance(msg, RewardFeedback) else msg.recipient
-        if recipient not in self._agents:
-            raise RuntimeError(f"unreachable agent {recipient}")
         self.sent_count += 1
         if self.log is not None:
             self.log.append(msg)
@@ -131,13 +145,11 @@ class InMemoryBus:
 
 @dataclass(eq=False)
 class Agent:
-    """One transmitter: identity, local Q-table, power levels, and the
-    memo of its last elimination that ve_via_messages hands the plan."""
+    """One transmitter: identity, local Q-table, power levels."""
 
     id: int
     local_q: LocalQ
     levels: np.ndarray  # this agent's transmit power grid, mW
-    _memo: StepMemo = field(default_factory=StepMemo, init=False, repr=False)
 
     def __post_init__(self):
         if self.local_q.agent != self.id:
@@ -149,6 +161,43 @@ class Agent:
     @property
     def n_actions(self) -> int:
         return len(self.levels)
+
+
+class Coordination:
+    """Joint-action selection over fixed agents, bound once per training run.
+
+    Holds the agents sorted by id, their tables, the plan for `order`
+    bound to those tables with each agent's LocalQ as the tracker of its
+    writes (coordgraph.BoundPlan, which keeps every step's memo), the bus
+    (a private one when None), and the send schedule: one (kind, sender,
+    recipient, payload) record per message of a selection, in protocol
+    order, where payload is the shared table's birth (ShareQ), the step
+    (FFunction) or the number of decided actions carried (Assignment).
+    Raises RuntimeError when an agent is not on the bus, so that no send
+    needs checking. The tables are the LocalQs' own arrays, written in
+    place, so the binding stays valid while the agents train.
+    """
+
+    def __init__(self, agents, order, bus: InMemoryBus | None = None):
+        self.agents = tuple(sorted(agents, key=lambda a: a.id))
+        ids = tuple(a.id for a in self.agents)
+        tables = [a.local_q.as_function_table(0) for a in self.agents]
+        plan = compiled_plan(
+            tuple(t.scope for t in tables), tuple(t.values.shape for t in tables), tuple(order), ids
+        )
+        self.bus = InMemoryBus(ids) if bus is None else bus
+        unreachable = sorted(set(ids) - self.bus.agents)
+        if unreachable:
+            raise RuntimeError(f"unreachable agent {unreachable[0]}")
+        self.plan = BoundPlan(plan, tables, [a.local_q for a in self.agents])
+        schedule = []
+        for k, step in enumerate(plan.steps):
+            schedule += [(ShareQ, sender, step.agent, birth) for sender, birth in step.senders]
+            if step.target is not None:
+                schedule.append((FFunction, step.agent, step.target, k))
+        chain = [step.agent for step in reversed(plan.steps)]
+        schedule += [(Assignment, chain[k - 1], chain[k], k) for k in range(1, len(chain))]
+        self.schedule = tuple(schedule)
 
 
 @dataclass(frozen=True)
@@ -165,14 +214,16 @@ class EpisodeTrace:
 
 
 def ve_via_messages(
-    agents, order, bus: InMemoryBus | None = None
+    agents, order=None, bus: InMemoryBus | None = None
 ) -> tuple[dict[int, int], float]:
     """Joint action selection by variable elimination over the bus.
 
-    Returns the optimal joint action {agent id: action index} and its
-    value; both match coordgraph.ve_argmax applied to the agents' tables
-    (taken in the order the agents are given) bit for bit, because both
-    are one run of the same EliminationPlan.
+    `agents` is a Coordination, which brings its own order and bus, or
+    the agents themselves, bound here for this one call with `order` and
+    `bus` (a private bus when None). Returns the optimal joint action
+    {agent id: action index} and its value; both match
+    coordgraph.ve_argmax applied to the agents' tables in id order bit for
+    bit, because both are one run of the same EliminationPlan.
 
     Elimination pass: every surviving agent ShareQ-sends its local table
     to the agent being eliminated if that table mentions it; conditional
@@ -185,32 +236,23 @@ def ve_via_messages(
     decided so far; the k-th carries the first k entries of the returned
     joint action.
 
-    The plan's run computes the content of every message, so the bus then
-    carries the traffic of both passes in protocol order. The plan is
-    compiled once per set of scopes, table shapes, agent ids and order,
-    and replayed on later calls, with each eliminated agent's memo, so a
-    large elimination redoes only the joint rows whose inputs changed.
+    The bound plan's run computes the content of every message, so the
+    bus then carries the traffic of both passes in protocol order (the
+    Coordination's schedule). A step whose tables nobody wrote since its
+    last run returns that run's result.
     """
-    agents = list(agents)
-    tables = [a.local_q.as_function_table(0) for a in agents]
-    plan = compiled_plan(
-        tuple(t.scope for t in tables),
-        tuple(t.values.shape for t in tables),
-        tuple(order),
-        tuple(a.id for a in agents),
-    )
-    if bus is None:
-        bus = InMemoryBus(a.id for a in agents)
-
-    assignment, value, conditionals = plan.run(tables, {a.id: a._memo for a in agents})
-    for step, f in zip(plan.steps, conditionals):
-        for sender, birth in step.senders:
-            bus.send(ShareQ(sender, step.agent, tables[birth]))
-        if step.target is not None:
-            bus.send(FFunction(step.agent, step.target, f))
+    coordination = agents if isinstance(agents, Coordination) else Coordination(agents, order, bus)
+    assignment, value, conditionals = coordination.plan.run()
+    tables = coordination.plan.tables
     decided = list(assignment.items())
-    for k in range(1, len(decided)):
-        bus.send(Assignment(decided[k - 1][0], decided[k][0], dict(decided[:k])))
+    send = coordination.bus.send
+    for kind, sender, recipient, at in coordination.schedule:
+        if kind is ShareQ:
+            send(ShareQ(sender, recipient, tables[at]))
+        elif kind is FFunction:
+            send(FFunction(sender, recipient, conditionals[at]))
+        else:
+            send(Assignment(sender, recipient, dict(decided[:at])))
     return assignment, value
 
 
@@ -237,24 +279,22 @@ def greedy_joint_action(agents, order) -> tuple[dict[int, int], float]:
 
 
 def run_episode(
-    agents,
+    coordination: Coordination,
     cfg: radio.NetworkConfig,
     params: LearningParams,
     episode: int,
     rng,
-    order,
-    bus: InMemoryBus,
     parallel: bool = False,
 ) -> EpisodeTrace:
     """One learning episode: select, explore, transmit, feed back, update.
 
-    The joint action comes from variable elimination over the bus; each
-    agent then epsilon-greedily overrides its own assignment and transmits
-    its level for that action. Rewards are log2(1 + SINR) under cfg of the
-    actually transmitted powers. A second
+    The joint action comes from variable elimination over the
+    coordination's bus; each agent then epsilon-greedily overrides its own
+    assignment and transmits its level for that action. Rewards are
+    log2(1 + SINR) under cfg of the actually transmitted powers. A second
     elimination pass supplies the greedy joint action whose scoped slice
-    each agent bootstraps on. Both passes replay one compiled plan; the
-    second's memoized steps only compare their unchanged inputs.
+    each agent bootstraps on. Nothing writes the tables between the
+    passes, so every step of the second returns its memo from the first.
 
     With `parallel`, the updates run on a pool opened for this episode
     with two workers (see the module docstring for why two): the agents,
@@ -262,11 +302,12 @@ def run_episode(
     extra agent of an odd count, and each worker updates its half in
     order. The tables are disjoint, so the result is the sequential one.
     """
-    agents = sorted(agents, key=lambda a: a.id)
+    agents = coordination.agents
+    bus = coordination.bus
     sent_before = bus.sent_count
     eps = epsilon_at(episode, params)
 
-    a_star, _ = ve_via_messages(agents, order, bus)
+    a_star, _ = ve_via_messages(coordination)
     taken = {
         a.id: explore_override(a_star[a.id], eps, rng, a.n_actions) for a in agents
     }
@@ -274,11 +315,11 @@ def run_episode(
 
     rewards = []
     for a in agents:
-        feedback = RewardFeedback(agent=a.id, sinr=radio.sinr(a.id, powers, cfg))
+        feedback = RewardFeedback(a.id, radio.sinr(a.id, powers, cfg))
         bus.send(feedback)
         rewards.append(float(np.log2(1.0 + feedback.sinr)))
 
-    a_greedy, _ = ve_via_messages(agents, order, bus)
+    a_greedy, _ = ve_via_messages(coordination)
 
     def update(batch) -> None:
         for agent, reward in batch:
@@ -296,8 +337,8 @@ def run_episode(
     return EpisodeTrace(
         episode=episode,
         epsilon=eps,
-        actions=tuple(taken[a.id] for a in agents),
-        powers_mw=tuple(float(p) for p in powers),
+        actions=tuple(taken.values()),
+        powers_mw=tuple(powers.tolist()),
         rewards=tuple(rewards),
         sum_reward=float(sum(rewards)),
         message_count=bus.sent_count - sent_before,
@@ -308,25 +349,32 @@ def train(
     cfg: radio.NetworkConfig,
     params: LearningParams,
     episodes: int,
-    seed: int,
+    seed,
     order_strategy: str = "fixed-reverse",
     parallel: bool = False,
 ) -> tuple[list[Agent], list[EpisodeTrace]]:
     """Run the full episode loop and return the trained agents and traces.
 
-    Deterministic given the seed: same seed, same trace log, same final
-    tables, with or without parallel agent updates. With `parallel`,
-    each episode updates the agents on its own two-worker pool.
+    Deterministic given the seed (anything np.random.default_rng takes:
+    a non-negative integer or a sequence of them): same seed, same trace
+    log, same final tables, with or without parallel agent updates. The
+    coordination is bound once, for every episode. With `parallel`, each
+    episode updates the agents on its own two-worker pool.
     """
+    require_count("episodes", episodes)
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"seed must be a non-negative integer or a sequence of them, got {seed!r}"
+        ) from None
     agents = build_agents(cfg)
     graph = CoordinationGraph(tuple(a.local_q.scope for a in agents))
-    order = default_elimination_order(graph, order_strategy)
-    bus = InMemoryBus(a.id for a in agents)
-    rng = np.random.default_rng(seed)
+    coordination = Coordination(agents, default_elimination_order(graph, order_strategy))
     traces = [
-        run_episode(agents, cfg, params, e, rng, order, bus, parallel=parallel)
+        run_episode(coordination, cfg, params, e, rng, parallel=parallel)
         for e in range(episodes)
     ]
     return agents, traces

@@ -103,7 +103,7 @@ def test_criterion_2_message_passing_equivalence():
             scope = tuple(sorted({j, *extra}))
             q = LocalQ(agent=j, scope=scope,
                        n_actions=tuple(sizes[a] for a in scope))
-            q.values[...] = rng.uniform(-10, 10, q.values.shape)
+            q.write(..., rng.uniform(-10, 10, q.values.shape))
             agents.append(Agent(id=j, local_q=q, levels=np.zeros(sizes[j])))
         order = tuple(rng.permutation(n))
         got = ve_via_messages(agents, order)

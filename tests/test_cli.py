@@ -320,6 +320,8 @@ class TestCommandLine:
         ("experiment", "betas = 0.3, 1.5", "[experiment] betas"),
         ("experiment", "betas = -0.1, 0.3", "[experiment] betas"),
         ("experiment", "episodes = 0", "[experiment] episodes"),
+        # numpy refuses a negative seed, which used to fail inside training.
+        ("experiment", "seed = -1", "[experiment] seed"),
     ])
     def test_unusable_network_value_fails_before_training(
         self, tmp_path, capsys, section, line, named
@@ -342,6 +344,12 @@ class TestCommandLine:
         assert rc == 2
         assert "--betas:" in capsys.readouterr().out
         assert not out.exists()
+
+    def test_negative_seed_option_named(self, small_config, tmp_path, capsys):
+        code = cli.main(["run", "--config", str(small_config), "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "[experiment] seed must be a non-negative integer, got -1" in capsys.readouterr().out
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_bad_value_reports_error(self, tmp_path, capsys):
         config = tmp_path / "exp.ini"

@@ -20,7 +20,7 @@ from coopa.coordgraph import (
     ve_argmax,
 )
 from coopa.learner import LocalQ
-from coopa.runtime import Agent, Assignment, InMemoryBus, ve_via_messages
+from coopa.runtime import Agent, Assignment, Coordination, InMemoryBus, ve_via_messages
 
 # Fixed examples, so the suite is deterministic and its run time bounded.
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -345,20 +345,28 @@ def agents_holding(functions):
     return agents
 
 
-def logged_ve(agents, order):
-    """ve_via_messages on a fresh recording bus: (action, value, log), the
-    log as (kind, sender, recipient, payload scope or actions) per message.
+def recording(agents, order):
+    """A Coordination of the agents whose bus records."""
+    return Coordination(agents, order, InMemoryBus((a.id for a in agents), record=True))
+
+
+def logged_ve(agents, order=None):
+    """ve_via_messages on a fresh recording bus, or on a recording
+    Coordination: (action, value, log), the log of this call as (kind,
+    sender, recipient, payload scope or actions) per message.
 
     Checks that the k-th Assignment carries the first k entries of the
     returned joint action."""
-    bus = InMemoryBus((a.id for a in agents), record=True)
-    action, value = ve_via_messages(agents, order, bus)
+    coordination = agents if isinstance(agents, Coordination) else recording(agents, order)
+    start = len(coordination.bus.log)
+    action, value = ve_via_messages(coordination)
+    messages = coordination.bus.log[start:]
     decided = list(action.items())
-    chain = [list(m.actions.items()) for m in bus.log if isinstance(m, Assignment)]
+    chain = [list(m.actions.items()) for m in messages if isinstance(m, Assignment)]
     assert chain == [decided[:k] for k in range(1, len(decided))]
     log = [
         (type(m).__name__, m.sender, m.recipient, m.actions if hasattr(m, "actions") else m.table.scope)
-        for m in bus.log
+        for m in messages
     ]
     return action, value, log
 
@@ -415,8 +423,7 @@ class TestProperties:
         elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) if integral else st.floats(-10, 10)
         for _ in range(3):
             for a in agents:
-                table = a.local_q.values
-                table[...] = data.draw(hnp.arrays(np.float64, table.shape, elements=elements))
+                a.local_q.write(..., data.draw(hnp.arrays(np.float64, a.local_q.values.shape, elements=elements)))
             tables = [a.local_q.as_function_table(0) for a in agents]
             misses = compiled_plan.cache_info().misses
             replayed = logged_ve(agents, order)
@@ -469,7 +476,7 @@ class TestPlan:
     def test_nonfinite_table_entry_rejected(self, entry):
         # Written past local_update, straight into an agent's table.
         agents = agents_holding([FunctionTable((0, 1), np.zeros((2, 2))) for _ in range(2)])
-        agents[1].local_q.values[1, 0] = entry
+        agents[1].local_q.write((1, 0), entry)
         with pytest.raises(ValueError, match="not finite"):
             ve_via_messages(agents, (1, 0))
 
@@ -515,22 +522,24 @@ class TestMemo:
     def test_memoized_runs_equal_fresh_runs_bit_for_bit(self, every_step_memoized, instance, data):
         functions, order, integral = instance
         agents = agents_holding(functions)
-        by_id = {a.id: a for a in agents}
+        coordination = recording(agents, order)
+        plan = coordination.plan.plan
         elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) if integral else st.floats(-10, 10)
         for _ in range(5):
             for a in agents:
-                table = a.local_q.values
+                q = a.local_q
+                table = q.values
                 edit = data.draw(st.sampled_from(["none", "entry", "entry", "table", "zero sign"]))
                 if edit == "table":
-                    table[...] = data.draw(hnp.arrays(np.float64, table.shape, elements=elements))
+                    q.write(..., data.draw(hnp.arrays(np.float64, table.shape, elements=elements)))
                 elif edit != "none":
                     at = tuple(data.draw(st.integers(0, n - 1)) for n in table.shape)
                     if edit == "entry":
-                        table[at] = data.draw(elements)
+                        q.write(at, data.draw(elements))
                     elif table[at] == 0.0:
-                        table[at] = -table[at]
-            tables, plan = plan_of(agents, order)
-            action, value, log = logged_ve(agents, order)
+                        q.write(at, -table[at])
+            tables = [a.local_q.as_function_table(0) for a in agents]
+            action, value, log = logged_ve(coordination)
             fresh = EliminationPlan(
                 tuple(t.scope for t in tables), tuple(t.values.shape for t in tables),
                 order, tuple(a.id for a in agents),
@@ -539,18 +548,14 @@ class TestMemo:
             assert action == expected_action
             assert same_bits(value, expected_value)
             born = tables + conditionals
-            for k, step in enumerate(plan.steps):
-                if not step.memo:
-                    continue
-                memo = by_id[step.agent]._memo
-                assert memo.key == (plan, k)
+            for k, (step, memo) in enumerate(zip(plan.steps, coordination.plan.memos)):
                 _, b, _ = eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)
                 assert same_bits(memo.f.values, conditionals[k].values)
                 assert np.array_equal(memo.b.values, b.values)
             # The same traffic as agents that remember nothing.
             assert log == logged_ve(agents_holding(tables), order)[2]
 
-    def test_another_order_resets_the_memo(self, every_step_memoized, monkeypatch):
+    def test_coordinations_keep_their_own_memos(self, every_step_memoized, monkeypatch):
         full = []  # agents whose step ran the full kernel
         kernel = coordgraph.eliminate_agent
         monkeypatch.setattr(
@@ -559,46 +564,76 @@ class TestMemo:
         rng = np.random.default_rng(8)
         agents = ring_agents(5, 3, rng)
         a_order, b_order = (0, 1, 2, 3, 4), (4, 2, 0, 3, 1)
-        for order in (a_order, b_order, a_order):
+        bound = {order: Coordination(agents, order) for order in (a_order, b_order)}
+        for visit, order in enumerate((a_order, b_order, a_order)):
             for a in agents:
-                table = a.local_q.values
-                table[tuple(rng.integers(0, 3, table.ndim))] = rng.integers(-2, 3)
+                a.local_q.write(tuple(rng.integers(0, 3, 3)), rng.integers(-2, 3))
             tables, plan = plan_of(agents, order)
+            assert plan is bound[order].plan.plan
             assert any(step.memo for step in plan.steps)
             for again in (False, True):
-                # A memo last filled under the other order, or never, starts
-                # from scratch: its step runs the full kernel. Repeated on
-                # the same tables, only the unmemoized steps do.
-                stale = {s.agent for k, s in enumerate(plan.steps) if s.memo and agents[s.agent]._memo.key != (plan, k)}
-                assert bool(stale) != again
                 full.clear()
-                action, value = ve_via_messages(agents, order)
-                assert stale <= set(full)
+                action, value = ve_via_messages(bound[order])
                 if again:
-                    assert full == [s.agent for s in plan.steps if not s.memo]
+                    # Nothing written since: every step returns its memo.
+                    assert full == []
+                elif visit < 2:
+                    # A coordination's first run starts from scratch.
+                    assert full == [s.agent for s in plan.steps]
+                elif coordgraph.MEMO_MAX_DIRTY_SHARE == 1.0:
+                    # The other order's runs read the same logs, and left
+                    # this one's memos valid: memoized steps take rows only.
+                    assert set(full) <= {s.agent for s in plan.steps if not s.memo}
                 expected_action, expected_value = ve_argmax(tables, order)
                 assert action == expected_action
                 assert same_bits(value, expected_value)
-            for k, step in enumerate(plan.steps):
-                if step.memo:
-                    assert agents[step.agent]._memo.key == (plan, k)
 
     def test_a_step_that_raised_raises_again(self, every_step_memoized):
         rng = np.random.default_rng(3)
         agents = ring_agents(4, 5, rng)
         order = (0, 1, 2, 3)
+        coordination = Coordination(agents, order)
         tables, plan = plan_of(agents, order)
-        ve_via_messages(agents, order)
+        ve_via_messages(coordination)
         assert plan.steps[0].memo
-        q = agents[1].local_q.values  # gathered by step 0, eliminating agent 0
-        kept = q[0, 2, 1]
-        q[0, 2, 1] = np.inf
+        q = agents[1].local_q  # gathered by step 0, eliminating agent 0
+        kept = q.values[0, 2, 1]
+        q.write((0, 2, 1), np.inf)
         for _ in range(2):
             with pytest.raises(ValueError, match="not finite"):
-                ve_via_messages(agents, order)
-        q[0, 2, 1] = kept
-        action, value = ve_via_messages(agents, order)
+                ve_via_messages(coordination)
+        q.write((0, 2, 1), kept)
+        action, value = ve_via_messages(coordination)
         compiled_plan.cache_clear()
         expected_action, expected_value = ve_argmax(tables, order)
         assert action == expected_action
         assert same_bits(value, expected_value)
+
+    def test_a_run_that_raised_leaves_no_stale_memo(self, every_step_memoized):
+        # Step 0 (eliminating agent 0) succeeds on a new entry of agent 1's
+        # table and updates its memo; step 1 (eliminating agent 1) then
+        # raises on agent 2's table, which only it gathers.
+        rng = np.random.default_rng(4)
+        agents = ring_agents(4, 5, rng)
+        order = (0, 1, 2, 3)
+        coordination = Coordination(agents, order)
+        tables, plan = plan_of(agents, order)
+        assert plan.steps[1].memo and 2 in plan.steps[1].gather
+        ve_via_messages(coordination)
+        first, memo = coordination.plan.memos[:2]
+        version = first.version
+        f, b, seen = memo.f, memo.b, memo.seen
+        agents[1].local_q.write((0, 1, 2), 7.0)
+        kept = agents[2].local_q.values[1, 1, 1]
+        agents[2].local_q.write((1, 1, 1), np.inf)
+        with pytest.raises(ValueError, match="eliminating agent 1"):
+            ve_via_messages(coordination)
+        assert first.version == version + 1
+        assert memo.f is f and memo.b is b and memo.seen == seen
+        agents[2].local_q.write((1, 1, 1), kept)
+        action, value = ve_via_messages(coordination)
+        expected_action, expected_value, conditionals = plan.run(tables)
+        assert action == expected_action
+        assert same_bits(value, expected_value)
+        for memo, f in zip(coordination.plan.memos, conditionals):
+            assert same_bits(memo.f.values, f.values)

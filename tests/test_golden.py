@@ -2,9 +2,11 @@
 
 Each case pins the sha256 prefixes of its trace.csv and of its learned
 Q-tables (every agent's float64 table bytes, in agent order), with the
-agents' updates run sequentially and on a thread pool. A change that
-alters any trace or table entry at a fixed seed, however slightly, fails
-here; one that only reorganizes the computation does not.
+agents' updates run sequentially and on a thread pool. The sweep's
+sweep.csv is pinned the same way, written through the process pool and
+in-process. A change that alters any trace or table entry at a fixed
+seed, however slightly, fails here; one that only reorganizes the
+computation does not.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from coopa import radio
+from coopa import cli, radio
 from coopa.coordgraph import CoordinationGraph, EliminationPlan, default_elimination_order
 from coopa.learner import LearningParams
 from coopa.runtime import build_agents, train, write_trace_csv
@@ -51,6 +53,13 @@ CASES = {
              order_strategy="min-degree"),
         ("12eb656377e659bb", "e5fe81dff1fb7e9c"),
     ),
+    # The benchmark's ring: 11 levels, two eliminations over 11^5 joint actions.
+    "ring6_11_levels": (
+        lambda: ring(6, 11),
+        dict(params=LearningParams(epsilon_decay_episodes=300), episodes=300, seed=3,
+             order_strategy="min-degree"),
+        ("62272bda58ff4d06", "99123227ed69b1f4"),
+    ),
 }
 
 
@@ -67,6 +76,18 @@ def test_fixed_seed_outputs_are_pinned(case, parallel, tmp_path):
     write_trace_csv(traces, path)
     tables = b"".join(a.local_q.values.tobytes() for a in agents)
     assert (sha16(path.read_bytes()), sha16(tables)) == (trace_sha, tables_sha)
+
+
+@pytest.mark.parametrize("threads", [None, "1"])
+def test_sweep_csv_is_pinned(threads, tmp_path, monkeypatch):
+    # 21 betas at 2,205 episodes each, on the process pool and in-process.
+    if threads is None:
+        monkeypatch.delenv("COOPA_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("COOPA_THREADS", threads)
+    path = cli.run_sweep(cli.ExperimentConfig(episodes=2205, seed=3), tmp_path / "sweep.csv")
+    with open(path, "rb") as fh:
+        assert sha16(fh.read()) == "9190c571ef375d16"
 
 
 def test_ring6_case_crosses_the_memo_gate():

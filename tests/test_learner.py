@@ -28,7 +28,7 @@ class TestLocalUpdate:
 
     def test_full_overwrite(self):
         q = make_q()
-        q.values[1] = 123.0
+        q.write(1, 123.0)
         params = LearningParams(alpha=1.0, gamma=0.0)
         local_update(q, (1,), -2.5, (0,), params)
         assert q.values[1] == -2.5
@@ -44,7 +44,7 @@ class TestLocalUpdate:
 
     def test_single_entry_mutation(self):
         q = make_q(scope=(0, 1), n=3)
-        q.values[...] = np.arange(9.0).reshape(3, 3)
+        q.write(..., np.arange(9.0).reshape(3, 3))
         before = q.values.copy()
         local_update(q, (1, 2), 7.0, (0, 0), LearningParams())
         diff = q.values != before
@@ -57,6 +57,9 @@ class TestLocalUpdate:
             local_update(q, (3,), 1.0, (0,), LearningParams())
         with pytest.raises(ValueError):
             local_update(q, (0, 1), 1.0, (0,), LearningParams())
+        with pytest.raises(TypeError):
+            local_update(q, (1.0,), 1.0, (0,), LearningParams())
+        assert np.all(q.values == 0) and q.version == 0
 
 
     @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
@@ -69,7 +72,7 @@ class TestLocalUpdate:
     def test_overflowing_update_rejected(self):
         # 1e308 + 0.9 * 1.7e308 overflows to inf
         q = make_q()
-        q.values[0] = 1.7e308
+        q.write(0, 1.7e308)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="agent 0"):
             local_update(q, (1,), 1e308, (0,), LearningParams(alpha=1.0, gamma=0.9))
         assert q.values[1] == 0.0
@@ -203,6 +206,14 @@ class TestParamsAndTables:
         with pytest.raises(ValueError, match=field):
             LearningParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, True, 3.0, "3"])
+    def test_decay_episodes_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="epsilon_decay_episodes must be an integer"):
+            LearningParams(epsilon_decay_episodes=value)
+
+    def test_numpy_integer_decay_episodes_accepted(self):
+        assert epsilon_at(1, LearningParams(epsilon_decay_episodes=np.int64(2))) == pytest.approx(0.525)
+
     def test_scope_must_contain_owner(self):
         with pytest.raises(ValueError):
             LocalQ(agent=5, scope=(0, 1), n_actions=(2, 2))
@@ -243,9 +254,38 @@ class TestParamsAndTables:
             with pytest.raises(ValueError, match="unknown state"):
                 accessor(1)
 
+    def test_outside_writes_raise(self):
+        # Only local_update and write change the table, so every change is logged.
+        q = make_q(scope=(0, 1), n=2)
+        for view in (q.values, q.table(0), q.as_function_table(0).values):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 1] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                view += 1.0
+        assert np.all(q.values == 0) and q.version == 0
+
+    def test_writes_are_logged_by_flat_index(self):
+        q = make_q(scope=(0, 1), n=3)
+        local_update(q, (1, 2), 1.0, (0, 0), LearningParams())
+        q.write((0, 1), 4.0)
+        q.write((slice(None), 0), [1.0, 2.0, 3.0])
+        assert q.version == 5
+        assert q.changes_since(0) == [5, 1, 0, 3, 6]
+        assert q.changes_since(2) == [0, 3, 6]
+        assert q.changes_since(5) == []
+        assert q.values.tolist() == [[1.0, 4.0, 0.0], [2.0, 0.0, 0.5], [3.0, 0.0, 0.0]]
+
+    def test_log_keeps_at_most_twice_the_table(self):
+        q = make_q(n=2)
+        for k in range(5):
+            local_update(q, (k % 2,), 1.0, (0,), LearningParams())
+        assert q.version == 5
+        assert q.changes_since(0) is None  # too far back: everything may have changed
+        assert q.changes_since(3) == [1, 0]
+
     def test_as_function_table_is_view(self):
         q = make_q(scope=(0, 1), n=2)
         ft = q.as_function_table(0)
-        q.values[1, 1] = 9.0
+        q.write((1, 1), 9.0)
         assert ft.values[1, 1] == 9.0
 
