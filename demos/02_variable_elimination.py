@@ -51,8 +51,9 @@ print(f"brute force:  action {bf_action}, value {bf_value}")
 # about-to-be-eliminated agent gathers tables (ShareQ), forwards its
 # conditional table along the induced edge (FFunction), and the recovered
 # actions travel back along a reverse chain of Assignment messages. Both
-# versions are one run of the same compiled EliminationPlan, so their
-# values agree bit for bit.
+# versions run an EliminationPlan for the same tables and order, which
+# fixes every sum's order, so their values agree bit for bit; who sends
+# what to whom is the runtime's Coordination, derived from that plan.
 agents = [
     Agent(id=j, local_q=LocalQ(agent=j, scope=fn.scope, n_actions=(2, 2), values=fn.values.copy()),
           levels=np.array([0.0, 1.0]))

@@ -385,9 +385,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_with_overrides(args)
-    if args.betas is not None:
-        config = replace(config, betas=_parse_value("beta_range", args.betas, "--betas"))
-        _validate(config)
     path = run_sweep(config)
     print(f"wrote {path}")
     return 0
@@ -395,8 +392,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_surface(args) -> int:
     config = _load_with_overrides(args)
-    if args.beta is not None:
-        config = _validate(replace(config, beta=args.beta))
     _, agents, _ = _train_from_config(config)
     path = export_q_surface(agents, args.out)
     print(f"wrote {path}")
@@ -404,12 +399,19 @@ def _cmd_surface(args) -> int:
 
 
 def _load_with_overrides(args) -> ExperimentConfig:
+    """The config file with the command's options applied over it
+    (--seed, --out but for surface, sweep --betas, surface --beta), and
+    validated once more when there are any."""
     config = load_config(args.config)
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None and args.command != "surface":
+    if args.out is not None and args.command != "surface":
         updates["out_dir"] = args.out
+    if getattr(args, "betas", None) is not None:
+        updates["betas"] = _parse_value("beta_range", args.betas, "--betas")
+    if getattr(args, "beta", None) is not None:
+        updates["beta"] = args.beta
     return _validate(replace(config, **updates)) if updates else config
 
 

@@ -10,12 +10,11 @@ oracle.
 
 Everything about an elimination except the arithmetic depends only on the
 tables' scopes, the agents' action-set sizes and the order: which tables
-each step sums, the scope it leaves, how each table's axes line up with
-the step's joint table, and which agent receives the result. An
-EliminationPlan works that out, and validates it, once, and every exact
-maximization here is one run of a plan. compiled_plan keeps
-recent plans keyed on what they are built from, so a training loop that
-maximizes the same graph every episode compiles it once and replays it.
+each step sums, the scope it leaves and how each table's axes line up
+with the step's joint table. An EliminationPlan works that out, and
+validates it, once, and every exact maximization here is one run of a
+plan; who sends which table to whom is the message-passing runner's
+business (runtime.Coordination), derived from a plan's order and steps.
 A BoundPlan binds a plan to input tables whose writers log what they
 write (learner.LocalQ), once per training run. Its runs keep a StepMemo
 per step: a step whose tables nobody wrote since its last run returns
@@ -32,7 +31,6 @@ deterministic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +44,6 @@ __all__ = [
     "EliminationPlan",
     "BoundPlan",
     "StepMemo",
-    "compiled_plan",
     "eliminate_agent",
     "ve_argmax",
     "brute_force_argmax",
@@ -225,7 +222,7 @@ def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
     joint = (*remaining, agent)
     joint_shape = tuple(sizes[a] for a in joint)
     rows = np.arange(0, math.prod(joint_shape), joint_shape[-1])
-    rows.flags.writeable = False  # shared by every run of a cached plan
+    rows.flags.writeable = False  # shared by every run of the plan
     marks = tuple(
         (tuple(sizes[a] for a in scope), tuple(scope.index(a) if a in scope else None for a in remaining))
         for scope in scopes
@@ -282,19 +279,14 @@ def _check_finite(values: np.ndarray, agent: int) -> None:
 class PlanStep(NamedTuple):
     """One elimination of an EliminationPlan.
 
-    gather holds the births of the tables it sums, ascending; target is
-    the agent its conditional-value table goes to (None for the last
-    step); senders holds (owner, birth) of the gathered tables that other
-    agents own, by owner id, and is empty when the plan has no owners.
-    memo says whether a BoundPlan recomputes just this step's dirty rows:
-    its result has a scope and its joint table MEMO_MIN_ENTRIES entries.
+    gather holds the births of the tables it sums, ascending. memo says
+    whether a BoundPlan recomputes just this step's dirty rows: its result
+    has a scope and its joint table MEMO_MIN_ENTRIES entries.
     """
 
     agent: int
     gather: tuple[int, ...]
     layout: Layout
-    target: int | None
-    senders: tuple[tuple[int, int], ...]
     memo: bool
 
 
@@ -335,7 +327,7 @@ def _dirty_rows(layout: Layout, sources, seen) -> np.ndarray | None:
     return np.flatnonzero(dirty)
 
 
-def _run_step(step: PlanStep, memo: StepMemo, functions, sources, aligned, seen) -> FunctionTable:
+def _run_step(step: PlanStep, memo: StepMemo, functions, sources, seen) -> FunctionTable:
     """Run one step, continuing from its memo where that pays, and update
     the memo; returns the step's f.
 
@@ -348,8 +340,6 @@ def _run_step(step: PlanStep, memo: StepMemo, functions, sources, aligned, seen)
     the memo's object when equal to it (f never holds -0.0, see
     _aligned_sum, so equal values are equal bits), so that step sees no
     change; the entries that changed are logged in the memo.
-    `aligned` holds the bound view of each gathered input table, None for
-    a born one.
     """
     layout = step.layout
     rows = None
@@ -358,9 +348,8 @@ def _run_step(step: PlanStep, memo: StepMemo, functions, sources, aligned, seen)
     if rows is not None and rows.size <= MEMO_MAX_DIRTY_SHARE * layout.rows.size:
         idx = np.unravel_index(rows, layout.joint_shape[:-1])
         total = np.zeros((rows.size, layout.joint_shape[-1]))
-        for fn, view, (perm, shape) in zip(functions, aligned, layout.views):
-            if view is None:
-                view = fn.values.transpose(perm).reshape(shape)
+        for fn, (perm, shape) in zip(functions, layout.views):
+            view = fn.values.transpose(perm).reshape(shape)
             # Unit axes of the view (agents the table does not mention) take index 0.
             np.add(total, view[tuple(i if n != 1 else 0 for i, n in zip(idx, shape))], out=total)
         best = total.argmax(axis=-1)
@@ -416,16 +405,7 @@ class BoundPlan:
         n = len(self.tables)
         sources = [*(trackers or [None] * n), *self.memos]
         self._steps = tuple(
-            (
-                step,
-                memo,
-                tuple(sources[i] for i in step.gather),
-                tuple(
-                    self.tables[i].values.transpose(perm).reshape(shape) if i < n and step.memo else None
-                    for i, (perm, shape) in zip(step.gather, step.layout.views)
-                ),
-            )
-            for step, memo in zip(plan.steps, self.memos)
+            (step, memo, tuple(sources[i] for i in step.gather)) for step, memo in zip(plan.steps, self.memos)
         )
         self._born = list(self.tables) + [None] * len(plan.steps)
 
@@ -433,14 +413,14 @@ class BoundPlan:
         """EliminationPlan.run on the bound tables' current values."""
         born = self._born
         k = len(self.tables)
-        for step, memo, sources, aligned in self._steps:
+        for step, memo, sources in self._steps:
             seen = None
             if self._tracked:
                 seen = tuple([source.version for source in sources])
             if seen is not None and seen == memo.seen:
                 born[k] = memo.f
             else:
-                born[k] = _run_step(step, memo, [born[i] for i in step.gather], sources, aligned, seen)
+                born[k] = _run_step(step, memo, [born[i] for i in step.gather], sources, seen)
             k += 1
         value = 0.0
         for i in self.plan.finished:
@@ -458,16 +438,12 @@ class EliminationPlan:
     order given, and step k's conditional-value table is n + k. Each step
     gathers every live table mentioning its agent and sums them in birth
     order, so every runner of the plan gets the same bits. A step whose
-    result still has a scope routes it to the scope agent eliminated
-    soonest; a finished component's value goes to the last agent, and
-    `finished` lists the births of all such values, summed in birth order.
-
-    `owners[i]`, when given, is the agent holding input table i, which the
-    message-passing runner needs to address its ShareQ messages; owners
-    must then be exactly the agents in the scopes.
+    result has an empty scope finishes a component: `finished` lists the
+    births of all such values (and of constant input tables), summed in
+    birth order.
     """
 
-    def __init__(self, scopes, shapes, order, owners=None):
+    def __init__(self, scopes, shapes, order):
         scopes = tuple(tuple(int(a) for a in s) for s in scopes)
         shapes = tuple(tuple(int(n) for n in s) for s in shapes)
         order = tuple(int(a) for a in order)
@@ -480,15 +456,8 @@ class EliminationPlan:
             raise ValueError(
                 f"elimination order {order} must cover exactly the agents {sorted(in_scopes)}"
             )
-        if owners is not None:
-            owners = tuple(int(a) for a in owners)
-            if len(owners) != len(scopes) or len(set(owners)) != len(owners) or set(owners) != in_scopes:
-                raise ValueError(
-                    f"scopes mention {sorted(in_scopes)} but the agents are {sorted(owners)}"
-                )
         sizes = _action_sizes(scopes, shapes)
 
-        position = {a: k for k, a in enumerate(order)}
         live = [(k, s) for k, s in enumerate(scopes) if s]
         steps = []
         finished = [k for k, s in enumerate(scopes) if not s]
@@ -498,16 +467,11 @@ class EliminationPlan:
             layout = _layout([s for _, s in gather], sizes, agent)
             birth = len(scopes) + len(steps)
             if layout.remaining:
-                target = min(layout.remaining, key=position.__getitem__)
                 live.append((birth, layout.remaining))
             else:
-                target = order[-1] if agent != order[-1] else None
                 finished.append(birth)
-            senders = () if owners is None else tuple(sorted(
-                (owners[k], k) for k, _ in gather if k < len(scopes) and owners[k] != agent
-            ))
             memo = bool(layout.remaining) and math.prod(layout.joint_shape) >= MEMO_MIN_ENTRIES
-            steps.append(PlanStep(agent, tuple(k for k, _ in gather), layout, target, senders, memo))
+            steps.append(PlanStep(agent, tuple(k for k, _ in gather), layout, memo))
 
         self.order = order
         self.steps = tuple(steps)
@@ -527,22 +491,6 @@ class EliminationPlan:
         return BoundPlan(self, tables).run()
 
 
-@functools.lru_cache(maxsize=64)
-def compiled_plan(
-    scopes: tuple[tuple[int, ...], ...],
-    shapes: tuple[tuple[int, ...], ...],
-    order: tuple[int, ...],
-    owners: tuple[int, ...] | None = None,
-) -> EliminationPlan:
-    """The EliminationPlan for these arguments, built on first use.
-
-    Every argument must be hashable (tuples). The 64 most recently used
-    plans are kept, and an equal call returns the same plan object, so
-    callers must not change it.
-    """
-    return EliminationPlan(scopes, shapes, order, owners)
-
-
 def ve_argmax(functions, order) -> tuple[dict[int, int], float]:
     """Exact max-sum over a set of scoped tables via variable elimination.
 
@@ -551,15 +499,11 @@ def ve_argmax(functions, order) -> tuple[dict[int, int], float]:
     action as {agent: action index} and the attained value.
 
     `order` must be a permutation of exactly the agents appearing in the
-    scopes. The plan comes from compiled_plan, so repeated calls on tables
-    of the same scopes and shapes compile it once.
+    scopes. Each call compiles its own plan; a caller that maximizes the
+    same tables repeatedly binds one instead (BoundPlan).
     """
     functions = tuple(functions)
-    plan = compiled_plan(
-        tuple(fn.scope for fn in functions),
-        tuple(fn.values.shape for fn in functions),
-        tuple(order),
-    )
+    plan = EliminationPlan([fn.scope for fn in functions], [fn.values.shape for fn in functions], order)
     return plan.run(functions)[:2]
 
 

@@ -17,11 +17,11 @@ that still overlap, and every further one only adds a thread start-up.
 The choreography depends only on the graph, the action sizes and the
 elimination order, none of which change during training, and the tables
 are the agents' arrays, changed in place. So `train` binds it once: a
-Coordination holds the agents, the compiled coordgraph.EliminationPlan
-bound to their tables (coordgraph.BoundPlan), the bus and the send
-schedule, checked against the bus's agents once. The plan's one run
-computes every message's content, so the backhaul only counts and logs
-what is sent; it does not deliver. The tables are written only through
+Coordination holds the agents, a coordgraph.EliminationPlan bound to
+their tables (coordgraph.BoundPlan), the bus and the send schedule,
+which it derives from the plan's order and steps and checks against the
+bus's agents once. The plan's one run computes every message's content,
+so the backhaul only counts and logs what is sent; it does not deliver. The tables are written only through
 LocalQ, which logs each write, so an elimination step whose tables were
 not written since its last run returns that run's result, and a large
 one recomputes only the joint rows that the written entries reach.
@@ -41,8 +41,8 @@ from . import radio
 from .coordgraph import (
     BoundPlan,
     CoordinationGraph,
+    EliminationPlan,
     FunctionTable,
-    compiled_plan,
     default_elimination_order,
     eliminate_agent,  # noqa: F401  re-exported: tracing tools wrap it by this name
     ve_argmax,
@@ -173,28 +173,41 @@ class Coordination:
     recipient, payload) record per message of a selection, in protocol
     order, where payload is the shared table's birth (ShareQ), the step
     (FFunction) or the number of decided actions carried (Assignment).
-    Raises RuntimeError when an agent is not on the bus, so that no send
-    needs checking. The tables are the LocalQs' own arrays, written in
-    place, so the binding stays valid while the agents train.
+
+    Each step's agent is sent every table it gathers that it does not
+    hold: the other agents' tables by ShareQ, in id order, and the
+    conditional-value tables of earlier steps, each of which was
+    FFunction-forwarded to the agent of its scope eliminated soonest. A
+    finished component's value, which has no scope, goes to the last
+    agent eliminated. Raises ValueError unless the agents are exactly the
+    agents in the tables' scopes, and RuntimeError when an agent is not on
+    the bus, so that no send needs checking. The tables are the LocalQs'
+    own arrays, written in place, so the binding stays valid while the
+    agents train.
     """
 
     def __init__(self, agents, order, bus: InMemoryBus | None = None):
         self.agents = tuple(sorted(agents, key=lambda a: a.id))
-        ids = tuple(a.id for a in self.agents)
+        ids = [a.id for a in self.agents]
         tables = [a.local_q.as_function_table(0) for a in self.agents]
-        plan = compiled_plan(
-            tuple(t.scope for t in tables), tuple(t.values.shape for t in tables), tuple(order), ids
-        )
+        in_scopes = sorted({a for t in tables for a in t.scope})
+        if ids != in_scopes:
+            raise ValueError(f"scopes mention {in_scopes} but the agents are {ids}")
+        plan = EliminationPlan([t.scope for t in tables], [t.values.shape for t in tables], order)
         self.bus = InMemoryBus(ids) if bus is None else bus
         unreachable = sorted(set(ids) - self.bus.agents)
         if unreachable:
             raise RuntimeError(f"unreachable agent {unreachable[0]}")
         self.plan = BoundPlan(plan, tables, [a.local_q for a in self.agents])
+        # Input table i is agent ids[i]'s; step k's f is born n + k.
+        n, last = len(ids), plan.order[-1]
         schedule = []
         for k, step in enumerate(plan.steps):
-            schedule += [(ShareQ, sender, step.agent, birth) for sender, birth in step.senders]
-            if step.target is not None:
-                schedule.append((FFunction, step.agent, step.target, k))
+            schedule += [(ShareQ, ids[i], step.agent, i) for i in step.gather if i < n and ids[i] != step.agent]
+            if step.agent != last:
+                remaining = step.layout.remaining
+                target = min(remaining, key=plan.order.index) if remaining else last
+                schedule.append((FFunction, step.agent, target, k))
         chain = [step.agent for step in reversed(plan.steps)]
         schedule += [(Assignment, chain[k - 1], chain[k], k) for k in range(1, len(chain))]
         self.schedule = tuple(schedule)
@@ -223,25 +236,29 @@ def ve_via_messages(
     `bus` (a private bus when None). Returns the optimal joint action
     {agent id: action index} and its value; both match
     coordgraph.ve_argmax applied to the agents' tables in id order bit for
-    bit, because both are one run of the same EliminationPlan.
+    bit, because both run an EliminationPlan of the same tables and order.
 
-    Elimination pass: every surviving agent ShareQ-sends its local table
-    to the agent being eliminated if that table mentions it; conditional
-    tables produced by earlier eliminations already sit with the agent,
-    because each is FFunction-forwarded to whichever of its scope agents
-    is eliminated soonest. The eliminated agent keeps its best-response
-    table for the recovery pass. The conditional table of the last agent
-    has an empty scope: the global maximum. Recovery pass: Assignment
-    messages chain through the reversed order, each carrying the actions
-    decided so far; the k-th carries the first k entries of the returned
-    joint action.
+    Elimination pass: each agent in order is sent the tables it gathers
+    (ShareQ and FFunction, routed as Coordination describes) and keeps
+    its best-response table for the recovery pass. The conditional table
+    of the last agent has an empty scope: the global maximum. Recovery
+    pass: Assignment messages chain through the reversed order, each
+    carrying the actions decided so far; the k-th carries the first k
+    entries of the returned joint action.
 
     The bound plan's run computes the content of every message, so the
     bus then carries the traffic of both passes in protocol order (the
     Coordination's schedule). A step whose tables nobody wrote since its
-    last run returns that run's result.
+    last run returns that run's result. Passing `order` or `bus` with a
+    Coordination raises TypeError.
     """
-    coordination = agents if isinstance(agents, Coordination) else Coordination(agents, order, bus)
+    if not isinstance(agents, Coordination):
+        coordination = Coordination(agents, order, bus)
+    elif order is not None or bus is not None:
+        name = "order" if order is not None else "bus"
+        raise TypeError(f"{name}: a Coordination brings its own; pass the agents to use another")
+    else:
+        coordination = agents
     assignment, value, conditionals = coordination.plan.run()
     tables = coordination.plan.tables
     decided = list(assignment.items())

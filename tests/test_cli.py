@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestSweep:
         config = cli.load_config(small_config)
         a = cli.run_sweep(config, tmp_path / "a.csv")
         b = cli.run_sweep(config, tmp_path / "b.csv")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_thread_cap_does_not_change_output(self, small_config, tmp_path, monkeypatch):
         config = cli.load_config(small_config)
@@ -180,7 +181,7 @@ class TestSweep:
         a = cli.run_sweep(config, tmp_path / "serial.csv")
         monkeypatch.setenv("COOPA_THREADS", "2")
         b = cli.run_sweep(config, tmp_path / "parallel.csv")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_workers_follow_the_cpu_affinity_mask(self, monkeypatch):
         monkeypatch.delenv("COOPA_THREADS", raising=False)
@@ -292,6 +293,29 @@ class TestCommandLine:
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["beta"]) for r in rows] == [0.0, 0.2, 0.4]
+
+    def test_overrides_are_validated_once(self, tmp_path, monkeypatch):
+        config = tmp_path / "exp.ini"
+        config.write_text("")
+        checked, swept = [], []
+        validate = cli._validate
+        monkeypatch.setattr(cli, "_validate", lambda c: checked.append(c) or validate(c))
+        monkeypatch.setattr(cli, "run_sweep", lambda c: swept.append(c) or "sweep.csv")
+        rc = cli.main(["sweep", "--config", str(config), "--betas", "0:1:0.5", "--seed", "3"])
+        assert rc == 0
+        # The file as read, then the file with every option applied.
+        defaults = cli.ExperimentConfig()
+        assert [(c.seed, c.betas) for c in checked] == [(1, defaults.betas), (3, (0.0, 0.5, 1.0))]
+        assert swept == checked[1:]
+
+    def test_surface_beta_option_is_validated(self, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text("")
+        out_file = tmp_path / "surface.csv"
+        rc = cli.main(["surface", "--config", str(config), "--beta", "2.0", "--out", str(out_file)])
+        assert rc == 2
+        assert "[network]" in capsys.readouterr().out
+        assert not out_file.exists()
 
     def test_surface_subcommand(self, tmp_path):
         config = tmp_path / "exp.ini"

@@ -14,13 +14,12 @@ from coopa.coordgraph import (
     EliminationPlan,
     FunctionTable,
     brute_force_argmax,
-    compiled_plan,
     default_elimination_order,
     eliminate_agent,
     ve_argmax,
 )
 from coopa.learner import LocalQ
-from coopa.runtime import Agent, Assignment, Coordination, InMemoryBus, ve_via_messages
+from coopa.runtime import Agent, Assignment, Coordination, FFunction, InMemoryBus, ShareQ, ve_via_messages
 
 # Fixed examples, so the suite is deterministic and its run time bounded.
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -402,6 +401,35 @@ class TestProperties:
 
     @PROPERTY
     @given(instances())
+    def test_routing_follows_the_elimination_order(self, instance):
+        functions, order, _ = instance
+        coordination = Coordination(agents_holding(functions), order)
+        steps = coordination.plan.plan.steps
+        n = len(functions)
+        position = {a: k for k, a in enumerate(order)}
+        received = {a: [] for a in order}  # births of the tables each agent is sent
+        forwarded = 0
+        for kind, sender, recipient, at in coordination.schedule:
+            if kind is ShareQ:
+                received[recipient].append(at)
+            elif kind is FFunction:
+                forwarded += 1
+                remaining = steps[at].layout.remaining
+                assert sender == steps[at].agent
+                if remaining:
+                    assert recipient == min(remaining, key=position.__getitem__)
+                    received[recipient].append(n + at)
+                else:
+                    assert recipient == order[-1]
+        assert forwarded == len(steps) - 1  # all but the last step forward their f
+        for step in steps:
+            # Agent j owns input table j; born tables n + k belong to no agent.
+            assert sorted(received[step.agent]) == [i for i in step.gather if i != step.agent]
+            senders = [s for kind, s, r, _ in coordination.schedule if kind is ShareQ and r == step.agent]
+            assert senders == sorted(set(senders))
+
+    @PROPERTY
+    @given(instances())
     def test_ve_value_equals_brute_force(self, instance):
         functions, order, integral = instance
         action, value = ve_argmax(functions, order)
@@ -418,26 +446,20 @@ class TestProperties:
     def test_one_plan_replays_like_a_fresh_plan(self, instance, data):
         functions, order, integral = instance
         agents = agents_holding(functions)
-        logged_ve(agents, order)
-        ve_argmax(functions, order)
+        coordination = recording(agents, order)  # bound once, replayed after every write
+        logged_ve(coordination)
         elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) if integral else st.floats(-10, 10)
         for _ in range(3):
             for a in agents:
                 a.local_q.write(..., data.draw(hnp.arrays(np.float64, a.local_q.values.shape, elements=elements)))
             tables = [a.local_q.as_function_table(0) for a in agents]
-            misses = compiled_plan.cache_info().misses
-            replayed = logged_ve(agents, order)
-            action, value = ve_argmax(tables, order)
-            assert compiled_plan.cache_info().misses == misses  # both plans replayed
-            compiled_plan.cache_clear()
-            fresh = logged_ve(agents, order)
+            replayed = logged_ve(coordination)
+            fresh = logged_ve(agents, order)  # a new binding, whose first run is a full one
             expected_action, expected_value = ve_argmax(tables, order)
-            assert compiled_plan.cache_info().misses == 2  # both plans compiled afresh
             assert replayed[0] == fresh[0]
             assert same_bits(replayed[1], fresh[1])
             assert replayed[2] == fresh[2]
-            assert (action, repr(value)) == (fresh[0], repr(fresh[1]))
-            assert (action, repr(value)) == (expected_action, repr(expected_value))
+            assert (replayed[0], repr(replayed[1])) == (expected_action, repr(expected_value))
 
 
 # Agent 1's action set has 3 entries in one table and 1 in the other.
@@ -491,9 +513,6 @@ def every_step_memoized(request, monkeypatch):
     monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
     if request.param == "rows":
         monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
-    compiled_plan.cache_clear()
-    yield
-    compiled_plan.cache_clear()
 
 
 def ring_agents(n, levels, rng):
@@ -504,10 +523,7 @@ def ring_agents(n, levels, rng):
 
 def plan_of(agents, order):
     tables = [a.local_q.as_function_table(0) for a in agents]
-    return tables, compiled_plan(
-        tuple(t.scope for t in tables), tuple(t.values.shape for t in tables),
-        tuple(order), tuple(a.id for a in agents),
-    )
+    return tables, EliminationPlan([t.scope for t in tables], [t.values.shape for t in tables], order)
 
 
 MEMO_CASES = settings(
@@ -540,10 +556,7 @@ class TestMemo:
                         q.write(at, -table[at])
             tables = [a.local_q.as_function_table(0) for a in agents]
             action, value, log = logged_ve(coordination)
-            fresh = EliminationPlan(
-                tuple(t.scope for t in tables), tuple(t.values.shape for t in tables),
-                order, tuple(a.id for a in agents),
-            )
+            fresh = EliminationPlan([t.scope for t in tables], [t.values.shape for t in tables], order)
             expected_action, expected_value, conditionals = fresh.run(tables)
             assert action == expected_action
             assert same_bits(value, expected_value)
@@ -568,8 +581,8 @@ class TestMemo:
         for visit, order in enumerate((a_order, b_order, a_order)):
             for a in agents:
                 a.local_q.write(tuple(rng.integers(0, 3, 3)), rng.integers(-2, 3))
-            tables, plan = plan_of(agents, order)
-            assert plan is bound[order].plan.plan
+            tables = [a.local_q.as_function_table(0) for a in agents]
+            plan = bound[order].plan.plan
             assert any(step.memo for step in plan.steps)
             for again in (False, True):
                 full.clear()
@@ -604,7 +617,6 @@ class TestMemo:
                 ve_via_messages(coordination)
         q.write((0, 2, 1), kept)
         action, value = ve_via_messages(coordination)
-        compiled_plan.cache_clear()
         expected_action, expected_value = ve_argmax(tables, order)
         assert action == expected_action
         assert same_bits(value, expected_value)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coopa import oracle, radio, runtime
-from coopa.coordgraph import CoordinationGraph, compiled_plan, default_elimination_order, ve_argmax
+from coopa.coordgraph import CoordinationGraph, EliminationPlan, default_elimination_order, ve_argmax
 from coopa.learner import LearningParams
 from coopa.runtime import (
     Agent,
@@ -140,6 +140,19 @@ class TestVeViaMessages:
         ]
         with pytest.raises(RuntimeError, match="unreachable agent 2"):
             Coordination(agents, (3, 2, 1, 0), InMemoryBus([0, 1, 3]))
+
+    def test_coordination_brings_its_own_order_and_bus(self):
+        rng = np.random.default_rng(7)
+        agents = make_coordination_agents([(0, 1), (0, 1)], rng)
+        coordination = Coordination(agents, (1, 0))
+        with pytest.raises(TypeError, match="^order: "):
+            ve_via_messages(coordination, (5, 6, 7))
+        bus = recording_bus(agents)
+        with pytest.raises(TypeError, match="^bus: "):
+            ve_via_messages(coordination, bus=bus)
+        assert bus.log == [] and coordination.bus.sent_count == 0
+        ve_via_messages(coordination)
+        assert coordination.bus.sent_count == 3
 
     def test_unregistered_agent_unreachable(self):
         rng = np.random.default_rng(7)
@@ -362,13 +375,18 @@ class TestTrain:
         assert action == {0: 4, 1: 4}  # both at full power
 
     @pytest.mark.parametrize("parallel", [False, True])
-    def test_compiles_one_plan_per_call(self, parallel):
+    def test_compiles_one_plan_per_call(self, parallel, monkeypatch):
         # The plan is compiled, and bound, once per training run.
-        compiled_plan.cache_clear()
+        plans = []
+
+        def compile_plan(*args):
+            plans.append(EliminationPlan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(runtime, "EliminationPlan", compile_plan)
         cfg = radio.two_cell_config(0.3, n_power=3)
         train(cfg, LearningParams(), episodes=5, seed=0, parallel=parallel)
-        info = compiled_plan.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
+        assert len(plans) == 1
 
     def test_needs_at_least_one_episode(self):
         cfg = radio.two_cell_config(0.3, n_power=3)
