@@ -11,6 +11,7 @@ import numpy as np
 
 from coopa import (
     Agent,
+    Coordination,
     CoordinationGraph,
     FunctionTable,
     InMemoryBus,
@@ -50,17 +51,18 @@ print(f"brute force:  action {bf_action}, value {bf_value}")
 # each agent holding its own table. The log shows the choreography: the
 # about-to-be-eliminated agent gathers tables (ShareQ), forwards its
 # conditional table along the induced edge (FFunction), and the recovered
-# actions travel back along a reverse chain of Assignment messages. Both
-# versions run an EliminationPlan for the same tables and order, which
-# fixes every sum's order, so their values agree bit for bit; who sends
-# what to whom is the runtime's Coordination, derived from that plan.
+# actions travel back along a reverse chain of Assignment messages. A
+# Coordination binds the agents, the order and the bus once: it builds
+# an EliminationPlan of the agents' tables and derives from it who sends
+# what to whom. ve_argmax runs an EliminationPlan of the same tables and
+# order, which fixes every sum's order, so their values agree bit for bit.
 agents = [
     Agent(id=j, local_q=LocalQ(agent=j, scope=fn.scope, n_actions=(2, 2), values=fn.values.copy()),
           levels=np.array([0.0, 1.0]))
     for j, fn in enumerate(functions)
 ]
 bus = InMemoryBus((a.id for a in agents), record=True)
-msg_action, msg_value = ve_via_messages(agents, order, bus)
+msg_action, msg_value = ve_via_messages(Coordination(agents, order, bus))
 print(f"\nvia messages: action {msg_action}, value {msg_value}")
 print("message log:")
 for msg in bus.log:

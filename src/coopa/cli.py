@@ -229,6 +229,11 @@ def load_config(path) -> ExperimentConfig:
     violating model invariants. Omitted keys take reference-scenario
     defaults.
     """
+    return _validate(_read_config(path))
+
+
+def _read_config(path) -> ExperimentConfig:
+    """load_config without the check of the values against the model."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -248,7 +253,7 @@ def load_config(path) -> ExperimentConfig:
             overrides[key] = _parse_value(
                 _SCHEMA[section][key], raw, f"{path}: [{section}] {key}"
             )
-    return _validate(ExperimentConfig(**overrides))
+    return ExperimentConfig(**overrides)
 
 
 def _sweep_point(task) -> list:
@@ -400,9 +405,9 @@ def _cmd_surface(args) -> int:
 
 def _load_with_overrides(args) -> ExperimentConfig:
     """The config file with the command's options applied over it
-    (--seed, --out but for surface, sweep --betas, surface --beta), and
-    validated once more when there are any."""
-    config = load_config(args.config)
+    (--seed, --out but for surface, sweep --betas, surface --beta),
+    validated once, so an option may replace a value the file gets wrong."""
+    config = _read_config(args.config)
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -412,7 +417,7 @@ def _load_with_overrides(args) -> ExperimentConfig:
         updates["betas"] = _parse_value("beta_range", args.betas, "--betas")
     if getattr(args, "beta", None) is not None:
         updates["beta"] = args.beta
-    return _validate(replace(config, **updates)) if updates else config
+    return _validate(replace(config, **updates))
 
 
 def main(argv=None) -> int:

@@ -11,15 +11,16 @@ oracle.
 Everything about an elimination except the arithmetic depends only on the
 tables' scopes, the agents' action-set sizes and the order: which tables
 each step sums, the scope it leaves and how each table's axes line up
-with the step's joint table. An EliminationPlan works that out, and
-validates it, once, and every exact maximization here is one run of a
-plan; who sends which table to whom is the message-passing runner's
-business (runtime.Coordination), derived from a plan's order and steps.
-A BoundPlan binds a plan to input tables whose writers log what they
-write (learner.LocalQ), once per training run. Its runs keep a StepMemo
-per step: a step whose tables nobody wrote since its last run returns
-that run's result, and a large one recomputes just the joint rows that
-the written entries, or the changed entries of earlier steps, reach.
+with the step's joint table. An EliminationPlan is built from the tables
+it runs on and the order; it works that out, and validates it, once, and
+every exact maximization here is one run of a plan. Who sends which
+table to whom is the message-passing runner's business
+(runtime.Coordination), derived from a plan's order and steps. A plan
+whose tables' writers log what they write (learner.LocalQ) keeps a
+StepMemo per step across its runs: a step whose tables nobody wrote
+since its last run returns that run's result, and a large one recomputes
+just the joint rows that the written entries, or the changed entries of
+earlier steps, reach.
 Tables the kernel derives skip FunctionTable's validation; each
 conditional-value table is checked to be finite, which catches a sum
 that overflows and a non-finite input that reaches a row's maximum.
@@ -42,7 +43,6 @@ __all__ = [
     "FunctionTable",
     "CoordinationGraph",
     "EliminationPlan",
-    "BoundPlan",
     "StepMemo",
     "eliminate_agent",
     "ve_argmax",
@@ -280,8 +280,8 @@ class PlanStep(NamedTuple):
     """One elimination of an EliminationPlan.
 
     gather holds the births of the tables it sums, ascending. memo says
-    whether a BoundPlan recomputes just this step's dirty rows: its result
-    has a scope and its joint table MEMO_MIN_ENTRIES entries.
+    whether a tracked plan recomputes just this step's dirty rows: its
+    result has a scope and its joint table MEMO_MIN_ENTRIES entries.
     """
 
     agent: int
@@ -291,7 +291,7 @@ class PlanStep(NamedTuple):
 
 
 class StepMemo:
-    """A plan step's last result in a BoundPlan.
+    """A plan step's last result in its EliminationPlan.
 
     f and b are the conditional-value and best-response tables the step
     last returned, and seen the version of each table it gathered then.
@@ -381,58 +381,8 @@ def _run_step(step: PlanStep, memo: StepMemo, functions, sources, seen) -> Funct
     return f
 
 
-class BoundPlan:
-    """An EliminationPlan bound to fixed input tables, for repeated runs.
-
-    Each input table's array must stay the same object and change only in
-    place, through a writer that logs its writes: trackers[i], for input
-    i, has a `version` and changes_since(version) (LocalQ does). Each step
-    keeps a StepMemo, which tracks its f the same way. A step whose
-    gathered tables are all at the versions of its last run returns that
-    run's f and b; a memoized step (PlanStep.memo) takes its dirty rows
-    from the writers' logs and the rows the steps before it changed; any
-    other step runs eliminate_agent in full. The result equals a fresh
-    run's bit for bit. A step updates its memo only once it succeeded, so
-    a run that raises leaves no memo ahead of the tables it saw. Without
-    trackers every run is a fresh one.
-    """
-
-    def __init__(self, plan: EliminationPlan, tables, trackers=None):
-        self.plan = plan
-        self.tables = tuple(tables)
-        self.memos = tuple(StepMemo() for _ in plan.steps)
-        self._tracked = trackers is not None
-        n = len(self.tables)
-        sources = [*(trackers or [None] * n), *self.memos]
-        self._steps = tuple(
-            (step, memo, tuple(sources[i] for i in step.gather)) for step, memo in zip(plan.steps, self.memos)
-        )
-        self._born = list(self.tables) + [None] * len(plan.steps)
-
-    def run(self) -> tuple[dict[int, int], float, list[FunctionTable]]:
-        """EliminationPlan.run on the bound tables' current values."""
-        born = self._born
-        k = len(self.tables)
-        for step, memo, sources in self._steps:
-            seen = None
-            if self._tracked:
-                seen = tuple([source.version for source in sources])
-            if seen is not None and seen == memo.seen:
-                born[k] = memo.f
-            else:
-                born[k] = _run_step(step, memo, [born[i] for i in step.gather], sources, seen)
-            k += 1
-        value = 0.0
-        for i in self.plan.finished:
-            value += float(born[i].values)
-        assignment: dict[int, int] = {}
-        for step, memo in zip(reversed(self.plan.steps), reversed(self.memos)):
-            assignment[step.agent] = int(memo.b.values[tuple([assignment[a] for a in step.layout.remaining])])
-        return assignment, value, born[len(self.tables):]
-
-
 class EliminationPlan:
-    """Variable elimination compiled once for fixed scopes, sizes and order.
+    """Variable elimination of fixed tables in a fixed order, for repeated runs.
 
     Tables are numbered by birth: the n input tables are 0..n-1 in the
     order given, and step k's conditional-value table is n + k. Each step
@@ -440,23 +390,34 @@ class EliminationPlan:
     order, so every runner of the plan gets the same bits. A step whose
     result has an empty scope finishes a component: `finished` lists the
     births of all such values (and of constant input tables), summed in
-    birth order.
+    birth order. The steps, and their validation, depend only on the
+    tables' scopes and shapes and the order, and are worked out once.
+
+    Each input table's array must stay the same object and change only in
+    place. With trackers, each write goes through a writer that logs it:
+    trackers[i], for input i, has a `version` and changes_since(version)
+    (LocalQ does). Each step keeps a StepMemo, which tracks its f the same
+    way. A step whose gathered tables are all at the versions of its last
+    run returns that run's f and b; a memoized step (PlanStep.memo) takes
+    its dirty rows from the writers' logs and the rows the steps before it
+    changed; any other step runs eliminate_agent in full. The result
+    equals a fresh plan's bit for bit. A step updates its memo only once
+    it succeeded, so a run that raises leaves no memo ahead of the tables
+    it saw. Without trackers every run is a full one.
     """
 
-    def __init__(self, scopes, shapes, order):
-        scopes = tuple(tuple(int(a) for a in s) for s in scopes)
-        shapes = tuple(tuple(int(n) for n in s) for s in shapes)
+    def __init__(self, tables, order, trackers=None):
+        self.tables = tuple(tables)
         order = tuple(int(a) for a in order)
+        scopes = [t.scope for t in self.tables]
         if not scopes:
             raise ValueError("nothing to maximize: empty function set")
-        if len(shapes) != len(scopes) or any(len(s) != len(p) for s, p in zip(scopes, shapes)):
-            raise ValueError("need one shape per table, with one size per scope agent")
         in_scopes = set(itertools.chain.from_iterable(scopes))
         if set(order) != in_scopes or len(set(order)) != len(order):
             raise ValueError(
                 f"elimination order {order} must cover exactly the agents {sorted(in_scopes)}"
             )
-        sizes = _action_sizes(scopes, shapes)
+        sizes = _action_sizes(scopes, [t.values.shape for t in self.tables])
 
         live = [(k, s) for k, s in enumerate(scopes) if s]
         steps = []
@@ -476,19 +437,41 @@ class EliminationPlan:
         self.order = order
         self.steps = tuple(steps)
         self.finished = tuple(finished)
+        self.memos = tuple(StepMemo() for _ in self.steps)
+        self._tracked = trackers is not None
+        sources = [*(trackers or [None] * len(scopes)), *self.memos]
+        self._steps = tuple(
+            (step, memo, tuple(sources[i] for i in step.gather)) for step, memo in zip(self.steps, self.memos)
+        )
+        self._born = list(self.tables) + [None] * len(self.steps)
 
-    def run(self, tables) -> tuple[dict[int, int], float, list[FunctionTable]]:
-        """Maximize the sum of `tables`, one per input birth.
+    def run(self) -> tuple[dict[int, int], float, list[FunctionTable]]:
+        """Maximize the sum of the tables' current values.
 
         Eliminates every agent in order, sums the finished components'
         values, then walks the steps in reverse, giving each agent its
         best response to the agents already decided. Returns the joint
         action {agent: action index}, keyed in that reverse order, the
-        attained value, and each step's conditional-value table. The
-        caller makes sure the tables fit the plan. A BoundPlan repeats
-        this on tables that change between runs.
+        attained value, and each step's conditional-value table.
         """
-        return BoundPlan(self, tables).run()
+        born = self._born
+        k = len(self.tables)
+        for step, memo, sources in self._steps:
+            seen = None
+            if self._tracked:
+                seen = tuple([source.version for source in sources])
+            if seen is not None and seen == memo.seen:
+                born[k] = memo.f
+            else:
+                born[k] = _run_step(step, memo, [born[i] for i in step.gather], sources, seen)
+            k += 1
+        value = 0.0
+        for i in self.finished:
+            value += float(born[i].values)
+        assignment: dict[int, int] = {}
+        for step, memo in zip(reversed(self.steps), reversed(self.memos)):
+            assignment[step.agent] = int(memo.b.values[tuple([assignment[a] for a in step.layout.remaining])])
+        return assignment, value, born[len(self.tables):]
 
 
 def ve_argmax(functions, order) -> tuple[dict[int, int], float]:
@@ -499,12 +482,10 @@ def ve_argmax(functions, order) -> tuple[dict[int, int], float]:
     action as {agent: action index} and the attained value.
 
     `order` must be a permutation of exactly the agents appearing in the
-    scopes. Each call compiles its own plan; a caller that maximizes the
-    same tables repeatedly binds one instead (BoundPlan).
+    scopes. Each call builds its own plan; a caller that maximizes the
+    same tables repeatedly keeps one instead.
     """
-    functions = tuple(functions)
-    plan = EliminationPlan([fn.scope for fn in functions], [fn.values.shape for fn in functions], order)
-    return plan.run(functions)[:2]
+    return EliminationPlan(functions, order).run()[:2]
 
 
 def brute_force_argmax(functions) -> tuple[dict[int, int], float]:

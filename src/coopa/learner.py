@@ -8,7 +8,7 @@ slice of the jointly-greedy action, which the coordinator supplies.
 The table owns its writes: outside the update and LocalQ.write it is
 read-only, and every write is logged by flat index. The coordinator's
 eliminations read that log to learn what changed since they last ran
-(coordgraph.BoundPlan).
+(coordgraph.EliminationPlan, with the LocalQs as its trackers).
 """
 
 from __future__ import annotations

@@ -189,8 +189,15 @@ def throughput(i: int, powers, cfg: NetworkConfig) -> np.float64 | np.ndarray:
 
 
 def sum_throughput(powers, cfg: NetworkConfig) -> float:
-    """Network objective: sum of per-user throughputs under the power caps."""
+    """Network objective: sum of per-user throughputs under the power caps.
+
+    powers holds one transmit power per agent, in mW.
+    """
     powers = np.asarray(powers, dtype=float)
+    if powers.shape != (cfg.n_agents,):
+        raise ValueError(
+            f"powers: need {cfg.n_agents} entries, one per agent, got shape {powers.shape}"
+        )
     caps = cfg.p_max_mw
     for i in range(cfg.n_agents):
         if powers[i] < 0:

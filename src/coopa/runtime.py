@@ -17,14 +17,15 @@ that still overlap, and every further one only adds a thread start-up.
 The choreography depends only on the graph, the action sizes and the
 elimination order, none of which change during training, and the tables
 are the agents' arrays, changed in place. So `train` binds it once: a
-Coordination holds the agents, a coordgraph.EliminationPlan bound to
-their tables (coordgraph.BoundPlan), the bus and the send schedule,
-which it derives from the plan's order and steps and checks against the
-bus's agents once. The plan's one run computes every message's content,
-so the backhaul only counts and logs what is sent; it does not deliver. The tables are written only through
-LocalQ, which logs each write, so an elimination step whose tables were
-not written since its last run returns that run's result, and a large
-one recomputes only the joint rows that the written entries reach.
+Coordination holds the agents, a coordgraph.EliminationPlan of their
+tables, the bus and the send schedule, which it derives from the plan's
+order and steps and checks against the bus's agents once. The plan's
+one run computes every message's content, so the backhaul only counts
+and logs what is sent; it does not deliver. The tables are written only
+through LocalQ, which logs each write, so an elimination step whose
+tables were not written since its last run returns that run's result,
+and a large one recomputes only the joint rows that the written entries
+reach.
 
 Everything is deterministic under a fixed seed, regardless of scheduling.
 """
@@ -39,7 +40,6 @@ import numpy as np
 
 from . import radio
 from .coordgraph import (
-    BoundPlan,
     CoordinationGraph,
     EliminationPlan,
     FunctionTable,
@@ -166,9 +166,9 @@ class Agent:
 class Coordination:
     """Joint-action selection over fixed agents, bound once per training run.
 
-    Holds the agents sorted by id, their tables, the plan for `order`
-    bound to those tables with each agent's LocalQ as the tracker of its
-    writes (coordgraph.BoundPlan, which keeps every step's memo), the bus
+    Holds the agents sorted by id, the coordgraph.EliminationPlan of
+    their tables for `order`, with each agent's LocalQ as the tracker of
+    its writes (so the plan keeps every step's memo), the bus
     (a private one when None), and the send schedule: one (kind, sender,
     recipient, payload) record per message of a selection, in protocol
     order, where payload is the shared table's birth (ShareQ), the step
@@ -182,8 +182,8 @@ class Coordination:
     agent eliminated. Raises ValueError unless the agents are exactly the
     agents in the tables' scopes, and RuntimeError when an agent is not on
     the bus, so that no send needs checking. The tables are the LocalQs'
-    own arrays, written in place, so the binding stays valid while the
-    agents train.
+    own arrays, written in place, so the plan stays valid while the agents
+    train.
     """
 
     def __init__(self, agents, order, bus: InMemoryBus | None = None):
@@ -193,12 +193,11 @@ class Coordination:
         in_scopes = sorted({a for t in tables for a in t.scope})
         if ids != in_scopes:
             raise ValueError(f"scopes mention {in_scopes} but the agents are {ids}")
-        plan = EliminationPlan([t.scope for t in tables], [t.values.shape for t in tables], order)
+        self.plan = plan = EliminationPlan(tables, order, [a.local_q for a in self.agents])
         self.bus = InMemoryBus(ids) if bus is None else bus
         unreachable = sorted(set(ids) - self.bus.agents)
         if unreachable:
             raise RuntimeError(f"unreachable agent {unreachable[0]}")
-        self.plan = BoundPlan(plan, tables, [a.local_q for a in self.agents])
         # Input table i is agent ids[i]'s; step k's f is born n + k.
         n, last = len(ids), plan.order[-1]
         schedule = []
@@ -226,17 +225,14 @@ class EpisodeTrace:
     message_count: int
 
 
-def ve_via_messages(
-    agents, order=None, bus: InMemoryBus | None = None
-) -> tuple[dict[int, int], float]:
+def ve_via_messages(coordination: Coordination) -> tuple[dict[int, int], float]:
     """Joint action selection by variable elimination over the bus.
 
-    `agents` is a Coordination, which brings its own order and bus, or
-    the agents themselves, bound here for this one call with `order` and
-    `bus` (a private bus when None). Returns the optimal joint action
-    {agent id: action index} and its value; both match
-    coordgraph.ve_argmax applied to the agents' tables in id order bit for
-    bit, because both run an EliminationPlan of the same tables and order.
+    Runs the coordination's plan and sends its messages on its bus.
+    Returns the optimal joint action {agent id: action index} and its
+    value; both match coordgraph.ve_argmax applied to the agents' tables
+    in id order bit for bit, because both run an EliminationPlan of the
+    same tables and order.
 
     Elimination pass: each agent in order is sent the tables it gathers
     (ShareQ and FFunction, routed as Coordination describes) and keeps
@@ -246,19 +242,11 @@ def ve_via_messages(
     carrying the actions decided so far; the k-th carries the first k
     entries of the returned joint action.
 
-    The bound plan's run computes the content of every message, so the
-    bus then carries the traffic of both passes in protocol order (the
+    The plan's run computes the content of every message, so the bus then
+    carries the traffic of both passes in protocol order (the
     Coordination's schedule). A step whose tables nobody wrote since its
-    last run returns that run's result. Passing `order` or `bus` with a
-    Coordination raises TypeError.
+    last run returns that run's result.
     """
-    if not isinstance(agents, Coordination):
-        coordination = Coordination(agents, order, bus)
-    elif order is not None or bus is not None:
-        name = "order" if order is not None else "bus"
-        raise TypeError(f"{name}: a Coordination brings its own; pass the agents to use another")
-    else:
-        coordination = agents
     assignment, value, conditionals = coordination.plan.run()
     tables = coordination.plan.tables
     decided = list(assignment.items())

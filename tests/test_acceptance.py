@@ -24,6 +24,7 @@ from coopa.coordgraph import (
 from coopa.learner import LearningParams, LocalQ, explore_override, local_update
 from coopa.runtime import (
     Agent,
+    Coordination,
     greedy_joint_action,
     train,
     ve_via_messages,
@@ -106,7 +107,7 @@ def test_criterion_2_message_passing_equivalence():
             q.write(..., rng.uniform(-10, 10, q.values.shape))
             agents.append(Agent(id=j, local_q=q, levels=np.zeros(sizes[j])))
         order = tuple(rng.permutation(n))
-        got = ve_via_messages(agents, order)
+        got = ve_via_messages(Coordination(agents, order))
         expected = ve_argmax([a.local_q.as_function_table(0) for a in agents], order)
         if got != expected:
             mismatches += 1

@@ -303,10 +303,18 @@ class TestCommandLine:
         monkeypatch.setattr(cli, "run_sweep", lambda c: swept.append(c) or "sweep.csv")
         rc = cli.main(["sweep", "--config", str(config), "--betas", "0:1:0.5", "--seed", "3"])
         assert rc == 0
-        # The file as read, then the file with every option applied.
-        defaults = cli.ExperimentConfig()
-        assert [(c.seed, c.betas) for c in checked] == [(1, defaults.betas), (3, (0.0, 0.5, 1.0))]
-        assert swept == checked[1:]
+        # Only the file with every option applied.
+        assert [(c.seed, c.betas) for c in checked] == [(3, (0.0, 0.5, 1.0))]
+        assert swept == checked
+
+    def test_option_replaces_a_bad_file_value(self, small_config, tmp_path, capsys):
+        small_config.write_text(SMALL.replace("seed = 3", "seed = -1"))
+        message = "[experiment] seed must be a non-negative integer, got -1"
+        assert cli.main(["run", "--config", str(small_config), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().out
+        assert cli.main(["run", "--config", str(small_config), "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert message not in capsys.readouterr().out
+        assert (tmp_path / "trace.csv").exists()
 
     def test_surface_beta_option_is_validated(self, tmp_path, capsys):
         config = tmp_path / "exp.ini"

@@ -274,15 +274,6 @@ class TestTables:
         with pytest.raises(ValueError):
             FunctionTable((1,), np.array([1.0, np.nan]))
 
-    @pytest.mark.parametrize("shapes", [
-        ((2, 2),),  # one shape for two tables
-        ((2, 2), (2,)),  # one size for a two-agent scope
-        ((2, 2), (2, 2, 2)),  # three sizes for a two-agent scope
-    ])
-    def test_plan_shapes_must_match_scopes(self, shapes):
-        with pytest.raises(ValueError, match="shape per table"):
-            EliminationPlan(((0, 1), (1, 2)), shapes, (0, 1, 2))
-
     def test_graph_requires_nonempty_scopes(self):
         with pytest.raises(ValueError):
             CoordinationGraph(((),))
@@ -349,14 +340,13 @@ def recording(agents, order):
     return Coordination(agents, order, InMemoryBus((a.id for a in agents), record=True))
 
 
-def logged_ve(agents, order=None):
-    """ve_via_messages on a fresh recording bus, or on a recording
-    Coordination: (action, value, log), the log of this call as (kind,
-    sender, recipient, payload scope or actions) per message.
+def logged_ve(coordination):
+    """ve_via_messages on a recording Coordination: (action, value, log),
+    the log of this call as (kind, sender, recipient, payload scope or
+    actions) per message.
 
     Checks that the k-th Assignment carries the first k entries of the
     returned joint action."""
-    coordination = agents if isinstance(agents, Coordination) else recording(agents, order)
     start = len(coordination.bus.log)
     action, value = ve_via_messages(coordination)
     messages = coordination.bus.log[start:]
@@ -394,7 +384,7 @@ class TestProperties:
     def test_messages_equal_in_memory_ve_bit_for_bit(self, instance):
         functions, order, _ = instance
         agents = agents_holding(functions)
-        action, value, _ = logged_ve(agents, order)
+        action, value, _ = logged_ve(recording(agents, order))
         expected_action, expected_value = ve_argmax(functions, order)
         assert action == expected_action
         assert repr(value) == repr(expected_value)
@@ -404,7 +394,7 @@ class TestProperties:
     def test_routing_follows_the_elimination_order(self, instance):
         functions, order, _ = instance
         coordination = Coordination(agents_holding(functions), order)
-        steps = coordination.plan.plan.steps
+        steps = coordination.plan.steps
         n = len(functions)
         position = {a: k for k, a in enumerate(order)}
         received = {a: [] for a in order}  # births of the tables each agent is sent
@@ -454,7 +444,7 @@ class TestProperties:
                 a.local_q.write(..., data.draw(hnp.arrays(np.float64, a.local_q.values.shape, elements=elements)))
             tables = [a.local_q.as_function_table(0) for a in agents]
             replayed = logged_ve(coordination)
-            fresh = logged_ve(agents, order)  # a new binding, whose first run is a full one
+            fresh = logged_ve(recording(agents, order))  # a new plan, whose first run is a full one
             expected_action, expected_value = ve_argmax(tables, order)
             assert replayed[0] == fresh[0]
             assert same_bits(replayed[1], fresh[1])
@@ -479,7 +469,7 @@ class TestPlan:
     def test_inconsistent_action_sizes_rejected_over_messages(self, agent_order, order):
         agents = agents_holding([FunctionTable(scope, values) for scope, values in INCONSISTENT])
         with pytest.raises(ValueError, match="inconsistent action-set size for agent 1"):
-            ve_via_messages([agents[k] for k in agent_order], order)
+            Coordination([agents[k] for k in agent_order], order)
 
     def test_constant_tables_count_toward_the_value(self):
         functions = [FunctionTable((), np.array(2.5)), FunctionTable((0,), np.array([1.0, 3.0]))]
@@ -492,7 +482,7 @@ class TestPlan:
             with pytest.raises(ValueError, match="overflow"):
                 ve_argmax(functions, (1, 0))
             with pytest.raises(ValueError, match="overflow"):
-                ve_via_messages(agents_holding(functions), (1, 0))
+                ve_via_messages(Coordination(agents_holding(functions), (1, 0)))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_nonfinite_table_entry_rejected(self, entry):
@@ -500,7 +490,7 @@ class TestPlan:
         agents = agents_holding([FunctionTable((0, 1), np.zeros((2, 2))) for _ in range(2)])
         agents[1].local_q.write((1, 0), entry)
         with pytest.raises(ValueError, match="not finite"):
-            ve_via_messages(agents, (1, 0))
+            ve_via_messages(Coordination(agents, (1, 0)))
 
 
 @pytest.fixture(params=["rows", "rows or full"])
@@ -523,7 +513,7 @@ def ring_agents(n, levels, rng):
 
 def plan_of(agents, order):
     tables = [a.local_q.as_function_table(0) for a in agents]
-    return tables, EliminationPlan([t.scope for t in tables], [t.values.shape for t in tables], order)
+    return tables, EliminationPlan(tables, order)
 
 
 MEMO_CASES = settings(
@@ -539,7 +529,7 @@ class TestMemo:
         functions, order, integral = instance
         agents = agents_holding(functions)
         coordination = recording(agents, order)
-        plan = coordination.plan.plan
+        plan = coordination.plan
         elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) if integral else st.floats(-10, 10)
         for _ in range(5):
             for a in agents:
@@ -556,17 +546,41 @@ class TestMemo:
                         q.write(at, -table[at])
             tables = [a.local_q.as_function_table(0) for a in agents]
             action, value, log = logged_ve(coordination)
-            fresh = EliminationPlan([t.scope for t in tables], [t.values.shape for t in tables], order)
-            expected_action, expected_value, conditionals = fresh.run(tables)
+            expected_action, expected_value, conditionals = EliminationPlan(tables, order).run()
             assert action == expected_action
             assert same_bits(value, expected_value)
             born = tables + conditionals
-            for k, (step, memo) in enumerate(zip(plan.steps, coordination.plan.memos)):
+            for k, (step, memo) in enumerate(zip(plan.steps, plan.memos)):
                 _, b, _ = eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)
                 assert same_bits(memo.f.values, conditionals[k].values)
                 assert np.array_equal(memo.b.values, b.values)
             # The same traffic as agents that remember nothing.
-            assert log == logged_ve(agents_holding(tables), order)[2]
+            assert log == logged_ve(recording(agents_holding(tables), order))[2]
+
+    @MEMO_CASES
+    @pytest.mark.parametrize("memoized", [False, True])
+    @given(instances(), st.data())
+    def test_untracked_plan_reruns_like_a_fresh_plan(self, memoized, monkeypatch, instance, data):
+        # No trackers: after an in-place write to one of the plan's tables,
+        # the next run equals a fresh plan's bit for bit.
+        if memoized:
+            monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+        functions, order, integral = instance
+        plan = EliminationPlan(functions, order)
+        plan.run()
+        elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) if integral else st.floats(-10, 10)
+        for _ in range(3):
+            table = data.draw(st.sampled_from(functions)).values
+            if data.draw(st.booleans()):
+                table[...] = data.draw(hnp.arrays(np.float64, table.shape, elements=elements))
+            else:
+                table[tuple(data.draw(st.integers(0, n - 1)) for n in table.shape)] = data.draw(elements)
+            action, value, conditionals = plan.run()
+            expected_action, expected_value, expected = EliminationPlan(functions, order).run()
+            assert action == expected_action
+            assert same_bits(value, expected_value)
+            assert [f.scope for f in conditionals] == [f.scope for f in expected]
+            assert all(same_bits(f.values, g.values) for f, g in zip(conditionals, expected))
 
     def test_coordinations_keep_their_own_memos(self, every_step_memoized, monkeypatch):
         full = []  # agents whose step ran the full kernel
@@ -582,7 +596,7 @@ class TestMemo:
             for a in agents:
                 a.local_q.write(tuple(rng.integers(0, 3, 3)), rng.integers(-2, 3))
             tables = [a.local_q.as_function_table(0) for a in agents]
-            plan = bound[order].plan.plan
+            plan = bound[order].plan
             assert any(step.memo for step in plan.steps)
             for again in (False, True):
                 full.clear()
@@ -644,7 +658,7 @@ class TestMemo:
         assert memo.f is f and memo.b is b and memo.seen == seen
         agents[2].local_q.write((1, 1, 1), kept)
         action, value = ve_via_messages(coordination)
-        expected_action, expected_value, conditionals = plan.run(tables)
+        expected_action, expected_value, conditionals = plan.run()
         assert action == expected_action
         assert same_bits(value, expected_value)
         for memo, f in zip(coordination.plan.memos, conditionals):

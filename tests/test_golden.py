@@ -94,5 +94,5 @@ def test_ring6_case_crosses_the_memo_gate():
     agents = build_agents(ring(6, 7))
     scopes = tuple(a.local_q.scope for a in agents)
     order = default_elimination_order(CoordinationGraph(scopes), "min-degree")
-    plan = EliminationPlan(scopes, tuple(a.local_q.values.shape for a in agents), order)
+    plan = EliminationPlan([a.local_q.as_function_table(0) for a in agents], order)
     assert any(step.memo for step in plan.steps)

@@ -180,6 +180,12 @@ class TestSumThroughput:
         with pytest.raises(ValueError):
             radio.sum_throughput([-1.0, 0.0], two_cell(0.3))
 
+    @pytest.mark.parametrize("powers", [(1.0, 2.0, 3.0), (1.0,)])
+    def test_one_power_per_agent(self, powers):
+        # Three used to ignore the third entry, one to raise IndexError.
+        with pytest.raises(ValueError, match="^powers: need 2 entries"):
+            radio.sum_throughput(powers, radio.two_cell_config(0.3))
+
     def test_dominates_each_term(self):
         rng = np.random.default_rng(3)
         for _ in range(30):

@@ -68,7 +68,7 @@ class TestVeViaMessages:
                 scopes.append(tuple(sorted({j, *extra})))
             agents = make_coordination_agents(scopes, rng, n_actions=3)
             order = tuple(rng.permutation(n))
-            action, value = ve_via_messages(agents, order)
+            action, value = ve_via_messages(Coordination(agents, order))
             tables = [a.local_q.as_function_table(0) for a in agents]
             expected_action, expected_value = ve_argmax(tables, order)
             assert action == expected_action
@@ -80,7 +80,7 @@ class TestVeViaMessages:
         agents = make_coordination_agents([(0, 1), (0, 1)], rng)
         for order in [(1, 0), (0, 1)]:
             bus = recording_bus(agents)
-            ve_via_messages(agents, order, bus)
+            ve_via_messages(Coordination(agents, order, bus))
             kinds = [type(m).__name__ for m in bus.log]
             assert kinds == ["ShareQ", "FFunction", "Assignment"]
             share, ff, assign = bus.log
@@ -95,7 +95,7 @@ class TestVeViaMessages:
         rng = np.random.default_rng(2)
         agents = make_coordination_agents([(0, 1), (1, 3), (0, 2), (2, 3)], rng)
         bus = recording_bus(agents)
-        action, value = ve_via_messages(agents, (3, 2, 1, 0), bus)
+        action, value = ve_via_messages(Coordination(agents, (3, 2, 1, 0), bus))
         ffs = [(m.sender, m.recipient, m.table.scope) for m in bus.log
                if isinstance(m, FFunction)]
         assert ffs[0] == (3, 2, (1, 2))  # induced edge between 1 and 2
@@ -108,7 +108,7 @@ class TestVeViaMessages:
         rng = np.random.default_rng(3)
         agents = make_coordination_agents([(0,)], rng, n_actions=4)
         bus = recording_bus(agents)
-        action, value = ve_via_messages(agents, (0,), bus)
+        action, value = ve_via_messages(Coordination(agents, (0,), bus))
         assert bus.log == []
         assert action == {0: int(np.argmax(agents[0].local_q.values))}
         assert value == float(np.max(agents[0].local_q.values))
@@ -117,16 +117,16 @@ class TestVeViaMessages:
         rng = np.random.default_rng(5)
         agents = make_coordination_agents([(0, 1), (0, 1)], rng)
         with pytest.raises(ValueError):
-            ve_via_messages(agents, (0,))
+            Coordination(agents, (0,))
         with pytest.raises(ValueError):
-            ve_via_messages(agents, (0, 0))
+            Coordination(agents, (0, 0))
 
     def test_agents_must_be_the_scoped_agents(self):
         # agent 0's table mentions agent 2, which no agent is
         rng = np.random.default_rng(9)
         agents = make_coordination_agents([(0, 2), (1,)], rng)
         with pytest.raises(ValueError, match=r"scopes mention \[0, 1, 2\] but the agents are \[0, 1\]"):
-            ve_via_messages(agents, (0, 1, 2))
+            Coordination(agents, (0, 1, 2))
 
     def test_binding_checks_the_bus_and_schedules_protocol_order(self):
         rng = np.random.default_rng(7)
@@ -141,25 +141,12 @@ class TestVeViaMessages:
         with pytest.raises(RuntimeError, match="unreachable agent 2"):
             Coordination(agents, (3, 2, 1, 0), InMemoryBus([0, 1, 3]))
 
-    def test_coordination_brings_its_own_order_and_bus(self):
-        rng = np.random.default_rng(7)
-        agents = make_coordination_agents([(0, 1), (0, 1)], rng)
-        coordination = Coordination(agents, (1, 0))
-        with pytest.raises(TypeError, match="^order: "):
-            ve_via_messages(coordination, (5, 6, 7))
-        bus = recording_bus(agents)
-        with pytest.raises(TypeError, match="^bus: "):
-            ve_via_messages(coordination, bus=bus)
-        assert bus.log == [] and coordination.bus.sent_count == 0
-        ve_via_messages(coordination)
-        assert coordination.bus.sent_count == 3
-
     def test_unregistered_agent_unreachable(self):
         rng = np.random.default_rng(7)
         agents = make_coordination_agents([(0, 1), (0, 1)], rng)
         bus = InMemoryBus([0])  # agent 1 missing
         with pytest.raises(RuntimeError):
-            ve_via_messages(agents, (1, 0), bus)
+            Coordination(agents, (1, 0), bus)
 
 
 def setup_run(beta=0.3, n_power=5, **params_kw):
