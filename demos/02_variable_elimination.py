@@ -22,6 +22,7 @@ from coopa import (
     ve_argmax,
     ve_via_messages,
 )
+from coopa.coordgraph import EliminationPlan
 
 rng = np.random.default_rng(8)
 scopes = [(0, 1), (1, 3), (0, 2), (2, 3)]  # the square: 0-1, 1-3, 0-2, 2-3
@@ -35,11 +36,18 @@ print(f"\ncoordination graph edges: {sorted(tuple(sorted(e)) for e in graph.edge
 order = default_elimination_order(graph)  # highest id first
 print(f"elimination order: {order}")
 
-# One elimination step by hand: agent 3 is mentioned by the tables over
-# (1,3) and (2,3); the collapsed table spans (1,2) -- an induced edge.
-f, b, untouched = eliminate_agent(functions, 3)
-print(f"\neliminating agent 3 leaves f over {f.scope} (induced edge):\n{f.values}")
-print(f"best responses of agent 3:\n{b.values}")
+# One elimination step by hand. An EliminationPlan works out every step
+# once: step 0 eliminates agent 3, gathers the tables that mention it (the
+# ones over (1,3) and (2,3), numbered by their place in `functions`) and
+# leaves a table over (1,2) -- an induced edge. eliminate_agent is the
+# arithmetic of one such step.
+plan = EliminationPlan(functions, order)
+step = plan.steps[0]
+print(f"\nstep 0 eliminates agent {step.agent}: gathers tables {step.gather}, "
+      f"leaves scope {step.layout.remaining}")
+f, b = eliminate_agent([functions[i] for i in step.gather], step.agent, layout=step.layout)
+print(f"f over {f.scope} (induced edge):\n{f.values}")
+print(f"best responses of agent {step.agent}:\n{b.values}")
 
 # The full algorithm, and the exhaustive check.
 action, value = ve_argmax(functions, order)

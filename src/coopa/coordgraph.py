@@ -13,7 +13,8 @@ tables' scopes, the agents' action-set sizes and the order: which tables
 each step sums, the scope it leaves and how each table's axes line up
 with the step's joint table. An EliminationPlan is built from the tables
 it runs on and the order; it works that out, and validates it, once, and
-every exact maximization here is one run of a plan. Who sends which
+every exact maximization here is one run of a plan: eliminate_agent is
+the kernel of one plan step and takes that step's layout. Who sends which
 table to whom is the message-passing runner's business
 (runtime.Coordination), derived from a plan's order and steps. A plan
 whose tables' writers log what they write (learner.LocalQ) keeps a
@@ -149,10 +150,13 @@ class CoordinationGraph:
 
 
 def _action_sizes(scopes, shapes) -> dict[int, int]:
-    """Each agent's action-set size, which every table mentioning it must agree on."""
+    """Each agent's action-set size, which every table mentioning it must
+    agree on and which may not be 0."""
     sizes: dict[int, int] = {}
     for scope, shape in zip(scopes, shapes):
         for a, n in zip(scope, shape):
+            if n == 0:
+                raise ValueError(f"agent {a} has an empty action set")
             if sizes.setdefault(a, n) != n:
                 raise ValueError(f"inconsistent action-set size for agent {a}")
     return sizes
@@ -230,33 +234,15 @@ def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
     return Layout(tuple(remaining), _views(scopes, joint, sizes), joint_shape, rows, marks)
 
 
-def eliminate_agent(
-    functions, agent: int, *, layout: Layout | None = None
-) -> tuple[FunctionTable, FunctionTable, tuple[FunctionTable, ...]]:
-    """Maximize the sum of all tables mentioning `agent` over its action.
+def eliminate_agent(functions, agent: int, *, layout: Layout) -> tuple[FunctionTable, FunctionTable]:
+    """Maximize the sum of one EliminationPlan step's tables over `agent`'s action.
 
-    Returns (f, b, untouched): f maps each joint action of the combined
-    remaining scope to the best achievable sum, b to the maximizing action
-    index of the eliminated agent (lowest index on ties), and untouched is
-    the input functions that did not mention `agent`, in input order.
-
-    With a `layout` from an EliminationPlan step, `functions` must be
-    exactly the tables that step gathers, in its order; nothing is derived
-    or validated again, and untouched is empty.
+    `functions` must be exactly the tables the step gathers, in its order,
+    and `layout` the step's; nothing is derived or validated again.
+    Returns (f, b): f maps each joint action of layout.remaining to the
+    best achievable sum, b to the maximizing action index of `agent`
+    (lowest index on ties).
     """
-    if layout is None:
-        functions = tuple(functions)
-        involved = tuple(fn for fn in functions if agent in fn.scope)
-        untouched = tuple(fn for fn in functions if agent not in fn.scope)
-        if not involved:
-            raise ValueError(f"agent {agent} appears in no function scope")
-        scopes = [fn.scope for fn in involved]
-        sizes = _action_sizes(scopes, [fn.values.shape for fn in involved])
-        layout = _layout(scopes, sizes, agent)
-        functions = involved
-    else:
-        untouched = ()
-
     joint = _aligned_sum(functions, layout.views, layout.joint_shape)
     best = np.asarray(joint.argmax(axis=-1))
     # One reduction: read each row's maximum back at its argmax, by flat
@@ -265,7 +251,7 @@ def eliminate_agent(
     _check_finite(values, agent)
     f = FunctionTable._trusted(layout.remaining, values)
     b = FunctionTable._trusted(layout.remaining, best)
-    return f, b, untouched
+    return f, b
 
 
 def _check_finite(values: np.ndarray, agent: int) -> None:
@@ -291,10 +277,12 @@ class PlanStep(NamedTuple):
 
 
 class StepMemo:
-    """A plan step's last result in its EliminationPlan.
+    """A plan step's last result in its EliminationPlan, which owns it.
 
-    f and b are the conditional-value and best-response tables the step
-    last returned, and seen the version of each table it gathered then.
+    f and b are the step's conditional-value and best-response tables as
+    of its last run, and seen the version of each table it gathered then.
+    A run writes changed rows into b in place but replaces f by a copy,
+    so an f once returned never changes.
     version counts the runs that changed f; changed holds the flat indices
     of the entries of f the latest one changed (None: all of them).
     """
@@ -334,12 +322,13 @@ def _run_step(step: PlanStep, memo: StepMemo, functions, sources, seen) -> Funct
     A memoized step with at most MEMO_MAX_DIRTY_SHARE of its joint rows
     dirty recomputes just those. Each sums the same tables in the same
     order from +0.0 as the full kernel, so f and b there equal its bits
-    and action indices; other rows keep the memo's, in copies, with b in
-    the smallest integer type. Every other run takes eliminate_agent in
-    full. An f with a scope, which a later step gathers, is returned as
-    the memo's object when equal to it (f never holds -0.0, see
-    _aligned_sum, so equal values are equal bits), so that step sees no
-    change; the entries that changed are logged in the memo.
+    and action indices; other rows keep the memo's. They go into the
+    memo's b in place once they pass the finite check (only the plan
+    reads b), and into a copy of f, which callers hold. Every other run
+    takes eliminate_agent in full. An f with a scope, which a later step
+    gathers, is returned as the memo's object when equal to it (f never
+    holds -0.0, see _aligned_sum, so equal values are equal bits), so that
+    step sees no change; the entries that changed are logged in the memo.
     """
     layout = step.layout
     rows = None
@@ -355,9 +344,8 @@ def _run_step(step: PlanStep, memo: StepMemo, functions, sources, seen) -> Funct
         best = total.argmax(axis=-1)
         values = total[np.arange(rows.size), best]
         _check_finite(values, step.agent)
-        b = memo.b.values.copy()
-        np.put(b, rows, best)
-        b = FunctionTable._trusted(layout.remaining, b)
+        b = memo.b
+        np.put(b.values, rows, best)
         moved = values != memo.f.values.take(rows)
         changed = rows[moved]
         f = memo.f
@@ -366,9 +354,7 @@ def _run_step(step: PlanStep, memo: StepMemo, functions, sources, seen) -> Funct
             np.put(f, changed, values[moved])
             f = FunctionTable._trusted(layout.remaining, f)
     else:
-        f, b, _ = eliminate_agent(functions, step.agent, layout=layout)
-        if step.memo:
-            b = FunctionTable._trusted(b.scope, b.values.astype(np.min_scalar_type(layout.joint_shape[-1] - 1)))
+        f, b = eliminate_agent(functions, step.agent, layout=layout)
         changed = None
         if layout.remaining and memo.f is not None:
             changed = (f.values != memo.f.values).ravel().nonzero()[0]

@@ -50,10 +50,10 @@ class NetworkConfig:
 
     Attributes
     ----------
-    gain : per-transmitter channel gain to the user it serves (linear).
+    gain : 1-D, per-transmitter channel gain to the user it serves (linear).
     beta : (n, n) matrix; beta[j, i] is the fraction of transmitter j's
         power that lands as interference at user i. Zero on the diagonal.
-    noise_mw : receiver noise power in milliwatts.
+    noise_mw : receiver noise power in milliwatts, a scalar.
     p_max_dbm : per-transmitter power cap in dBm.
     n_power : number of discrete transmit power levels per transmitter.
     interferers : derived, not given: for each user i, the ids j with
@@ -75,6 +75,10 @@ class NetworkConfig:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "p_max_dbm", p_max)
 
+        if gain.ndim != 1:
+            raise ValueError(f"gain must be 1-D, one entry per transmitter, got shape {gain.shape}")
+        if np.ndim(self.noise_mw) != 0:
+            raise ValueError(f"noise_mw must be a scalar, got shape {np.shape(self.noise_mw)}")
         n = gain.shape[0]
         if beta.shape != (n, n):
             raise ValueError(f"beta must be ({n}, {n}), got {beta.shape}")
@@ -191,13 +195,15 @@ def throughput(i: int, powers, cfg: NetworkConfig) -> np.float64 | np.ndarray:
 def sum_throughput(powers, cfg: NetworkConfig) -> float:
     """Network objective: sum of per-user throughputs under the power caps.
 
-    powers holds one transmit power per agent, in mW.
+    powers holds one finite transmit power per agent, in mW.
     """
     powers = np.asarray(powers, dtype=float)
     if powers.shape != (cfg.n_agents,):
         raise ValueError(
             f"powers: need {cfg.n_agents} entries, one per agent, got shape {powers.shape}"
         )
+    if not np.all(np.isfinite(powers)):
+        raise ValueError(f"powers must be finite, got {powers}")
     caps = cfg.p_max_mw
     for i in range(cfg.n_agents):
         if powers[i] < 0:

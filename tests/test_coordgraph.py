@@ -58,6 +58,14 @@ def random_instance(rng, n_agents, max_actions=5, extra_scope=2):
     return functions, sizes
 
 
+def first_step(functions, order):
+    """eliminate_agent's (f, b) for step 0 of EliminationPlan(functions,
+    order), on the tables that step gathers."""
+    plan = EliminationPlan(functions, order)
+    step = plan.steps[0]
+    return eliminate_agent([plan.tables[i] for i in step.gather], step.agent, layout=step.layout)
+
+
 class TestEliminateAgent:
     def test_two_table_example(self):
         # Q over (2,4) and Q over (3,4); eliminating 4 maximizes their sum.
@@ -73,49 +81,37 @@ class TestEliminateAgent:
                 expected_f[a2, a3] = max(sums)
                 expected_b[a2, a3] = int(np.argmax(sums))
 
-        f, b, untouched = eliminate_agent([q2, q4], 4)
+        f, b = first_step([q2, q4], (4, 2, 3))
         assert f.scope == (2, 3)
         assert b.scope == (2, 3)
         assert np.array_equal(f.values, expected_f)
         assert np.array_equal(b.values, expected_b)
-        assert untouched == ()
         # frozen values, including the two tie-breaks to index 0
         assert f.values.tolist() == [[1.0, 3.0], [3.0, 2.0]]
         assert b.values.tolist() == [[0, 0], [1, 0]]
 
     def test_single_function_single_agent(self):
         fn = FunctionTable((7,), np.array([1.5, 4.0, -2.0]))
-        f, b, _ = eliminate_agent([fn], 7)
+        f, b = first_step([fn], (7,))
         assert f.scope == ()
         assert float(f.values) == 4.0
         assert int(b.values) == 1
 
     def test_all_equal_ties_to_zero(self):
         fn = FunctionTable((1, 2), np.full((3, 4), 2.5))
-        f, b, _ = eliminate_agent([fn], 2)
+        f, b = first_step([fn], (2, 1))
         assert np.all(f.values == 2.5)
         assert np.all(b.values == 0)
-
-    def test_agent_in_no_scope(self):
-        fn = FunctionTable((1,), np.zeros(2))
-        with pytest.raises(ValueError):
-            eliminate_agent([fn], 9)
-
-    def test_untouched_pass_through(self):
-        a = FunctionTable((1, 2), np.zeros((2, 2)))
-        b_ = FunctionTable((3,), np.ones(2))
-        f, b, untouched = eliminate_agent([a, b_], 1)
-        assert untouched == (b_,)
 
     def test_induced_scope_guard(self):
         # eliminating a star's center leaves a table over all its leaves
         def star(leaves):
             return [FunctionTable((0, k), np.zeros((2, 2))) for k in range(1, leaves + 1)]
 
-        f, _, _ = eliminate_agent(star(MAX_INDUCED_SCOPE), 0)
+        f, _ = first_step(star(MAX_INDUCED_SCOPE), range(MAX_INDUCED_SCOPE + 1))
         assert len(f.scope) == MAX_INDUCED_SCOPE
         with pytest.raises(ValueError, match="limit"):
-            eliminate_agent(star(MAX_INDUCED_SCOPE + 1), 0)
+            EliminationPlan(star(MAX_INDUCED_SCOPE + 1), range(MAX_INDUCED_SCOPE + 2))
 
     def test_induced_scope_is_neighbor_union(self):
         # paper-style square graph: eliminating one corner joins its two
@@ -125,9 +121,9 @@ class TestEliminateAgent:
             FunctionTable(s, rng.normal(size=(2, 2)))
             for s in [(1, 2), (2, 4), (1, 3), (3, 4)]
         ]
-        f, _, _ = eliminate_agent(fns, 4)
+        f, _ = first_step(fns, (4, 3, 2, 1))
         assert f.scope == (2, 3)
-        f, _, _ = eliminate_agent(fns, 1)
+        f, _ = first_step(fns, (1, 2, 3, 4))
         assert f.scope == (2, 3)
 
 
@@ -365,10 +361,13 @@ class TestProperties:
     @given(instances())
     def test_eliminate_agent_is_max_and_lowest_argmax(self, instance):
         functions, order, _ = instance
-        live = list(functions)
-        for agent in order:
-            involved = [fn for fn in live if agent in fn.scope]
-            f, b, untouched = eliminate_agent(live, agent)
+        born = list(functions)
+        live = list(range(len(born)))  # births of the tables not yet summed
+        for step in EliminationPlan(functions, order).steps:
+            agent = step.agent
+            assert step.gather == tuple(sorted(i for i in live if agent in born[i].scope))
+            involved = [born[i] for i in step.gather]
+            f, b = eliminate_agent(involved, agent, layout=step.layout)
             remaining = tuple(sorted({a for fn in involved for a in fn.scope} - {agent}))
             joint = reference_sum(involved, remaining + (agent,))
             best = joint.max(axis=-1)
@@ -376,8 +375,8 @@ class TestProperties:
             assert same_bits(f.values, best)
             # lowest index among the maxima
             assert same_bits(b.values, (joint == best[..., None]).argmax(axis=-1))
-            assert untouched == tuple(fn for fn in live if agent not in fn.scope)
-            live = list(untouched) + ([f] if f.scope else [])
+            live = [i for i in live if i not in step.gather] + ([len(born)] if f.scope else [])
+            born.append(f)
 
     @PROPERTY
     @given(instances())
@@ -471,6 +470,15 @@ class TestPlan:
         with pytest.raises(ValueError, match="inconsistent action-set size for agent 1"):
             Coordination([agents[k] for k in agent_order], order)
 
+    @pytest.mark.parametrize("solve", [
+        lambda fns: ve_argmax(fns, (0,)),
+        brute_force_argmax,
+        lambda fns: Coordination(agents_holding(fns), (0,)),  # a LocalQ with n_actions (0,)
+    ], ids=["ve_argmax", "brute_force_argmax", "Coordination"])
+    def test_empty_action_set_rejected(self, solve):
+        with pytest.raises(ValueError, match="agent 0 has an empty action set"):
+            solve([FunctionTable((0,), np.zeros(0))])
+
     def test_constant_tables_count_toward_the_value(self):
         functions = [FunctionTable((), np.array(2.5)), FunctionTable((0,), np.array([1.0, 3.0]))]
         assert ve_argmax(functions, (0,)) == brute_force_argmax(functions) == ({0: 1}, 5.5)
@@ -551,7 +559,7 @@ class TestMemo:
             assert same_bits(value, expected_value)
             born = tables + conditionals
             for k, (step, memo) in enumerate(zip(plan.steps, plan.memos)):
-                _, b, _ = eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)
+                _, b = eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)
                 assert same_bits(memo.f.values, conditionals[k].values)
                 assert np.array_equal(memo.b.values, b.values)
             # The same traffic as agents that remember nothing.
@@ -614,6 +622,28 @@ class TestMemo:
                 expected_action, expected_value = ve_argmax(tables, order)
                 assert action == expected_action
                 assert same_bits(value, expected_value)
+
+    def test_dirty_rows_are_written_into_the_memos_b(self, monkeypatch):
+        monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+        rng = np.random.default_rng(6)
+        agents = ring_agents(5, 4, rng)
+        order = (0, 1, 2, 3, 4)
+        coordination = Coordination(agents, order)
+        plan = coordination.plan
+        ve_via_messages(coordination)
+        kept = [memo.b for memo in plan.memos]
+        first = kept[0].values.copy()
+        # Gathered by step 0 (eliminating agent 0): 16 of its 256 rows dirty.
+        agents[1].local_q.write((0, 1, 2), 7.0)
+        ve_via_messages(coordination)
+        assert not np.array_equal(plan.memos[0].b.values, first)
+        _, fresh = plan_of(agents, order)
+        fresh.run()
+        for step, memo, b, expected in zip(plan.steps, plan.memos, kept, fresh.memos):
+            if step.memo:
+                assert memo.b is b
+            assert same_bits(memo.b.values, expected.b.values)
 
     def test_a_step_that_raised_raises_again(self, every_step_memoized):
         rng = np.random.default_rng(3)

@@ -186,6 +186,12 @@ class TestSumThroughput:
         with pytest.raises(ValueError, match="^powers: need 2 entries"):
             radio.sum_throughput(powers, radio.two_cell_config(0.3))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_powers_rejected(self, entry):
+        # NaN used to come back as a NaN sum.
+        with pytest.raises(ValueError, match="^powers must be finite"):
+            radio.sum_throughput([entry, 1.0], radio.two_cell_config(0.3))
+
     def test_dominates_each_term(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -361,6 +367,9 @@ class TestNetworkConfigValidation:
             ("beta", np.zeros((2, 3))),
             ("beta", np.zeros(2)),
             ("p_max_dbm", np.array([10.0, 10.0, 10.0])),
+            ("gain", np.ones((2, 2))),  # was accepted
+            ("gain", 2.5),  # was an IndexError
+            ("noise_mw", np.array([1.0, 1.0])),  # was numpy's "truth value ... is ambiguous"
             ("noise_mw", 0.0),
             ("noise_mw", -1.0),
             ("n_power", 3.0),
