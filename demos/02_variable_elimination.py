@@ -32,7 +32,7 @@ for fn in functions:
     print(f"table over agents {fn.scope}:\n{fn.values}")
 
 graph = CoordinationGraph(tuple(scopes))
-print(f"\ncoordination graph edges: {sorted(tuple(sorted(e)) for e in graph.edges())}")
+print(f"\ncoordination graph scopes: {graph.scopes}")
 order = default_elimination_order(graph)  # highest id first
 print(f"elimination order: {order}")
 
@@ -69,7 +69,7 @@ agents = [
           levels=np.array([0.0, 1.0]))
     for j, fn in enumerate(functions)
 ]
-bus = InMemoryBus((a.id for a in agents), record=True)
+bus = InMemoryBus(record=True)
 msg_action, msg_value = ve_via_messages(Coordination(agents, order, bus))
 print(f"\nvia messages: action {msg_action}, value {msg_value}")
 print("message log:")

@@ -27,7 +27,6 @@ from .radio import (
     NetworkConfig,
     build_action_grid,
     dbm_to_mw,
-    mw_to_dbm,
     sinr,
     sum_throughput,
     throughput,
@@ -80,7 +79,6 @@ __all__ = [
     "greedy_allocation",
     "greedy_joint_action",
     "local_update",
-    "mw_to_dbm",
     "optimal_two_user",
     "run_episode",
     "simultaneous_allocation",

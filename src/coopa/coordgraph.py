@@ -106,17 +106,13 @@ class FunctionTable:
         object.__setattr__(table, "values", values)
         return table
 
-    def value_at(self, assignment: dict[int, int]) -> float:
-        """Evaluate the table at a (possibly larger) joint assignment."""
-        idx = tuple(assignment[a] for a in self.scope)
-        return self.values[idx]
-
 
 @dataclass(frozen=True)
 class CoordinationGraph:
-    """Agents and the scopes of their local functions.
-
-    Two agents are neighbors when they appear together in some scope.
+    """The scopes of the agents' local functions, as tuples of ints, and
+    `agents`, every agent they mention, ascending: what
+    default_elimination_order reads. Two agents are neighbors when they
+    appear together in some scope.
     """
 
     scopes: tuple[tuple[int, ...], ...]
@@ -128,25 +124,6 @@ class CoordinationGraph:
             raise ValueError("every local function needs a nonempty scope")
         agents = sorted(set(itertools.chain.from_iterable(scopes)))
         object.__setattr__(self, "agents", tuple(agents))
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.agents)
-
-    def neighbors(self, agent: int) -> set[int]:
-        out: set[int] = set()
-        for s in self.scopes:
-            if agent in s:
-                out.update(s)
-        out.discard(agent)
-        return out
-
-    def edges(self) -> set[frozenset[int]]:
-        """Coordination-graph edges: pairs of agents sharing some scope."""
-        es: set[frozenset[int]] = set()
-        for s in self.scopes:
-            es.update(frozenset(p) for p in itertools.combinations(s, 2))
-        return es
 
 
 def _action_sizes(scopes, shapes) -> dict[int, int]:
@@ -511,12 +488,13 @@ def default_elimination_order(graph: CoordinationGraph, strategy: str = "fixed-r
     "fixed-reverse" eliminates agents in descending id order. "min-degree"
     greedily eliminates the agent with the fewest neighbors in the current
     induced graph (ties to the lowest id), connecting its neighbors after
-    each removal.
+    each removal; it starts from the neighbors that the graph's scopes
+    give each agent.
     """
     if strategy == "fixed-reverse":
         return tuple(sorted(graph.agents, reverse=True))
     if strategy == "min-degree":
-        adj = {a: graph.neighbors(a) for a in graph.agents}
+        adj = {a: {b for s in graph.scopes if a in s for b in s} - {a} for a in graph.agents}
         order: list[int] = []
         while adj:
             agent = min(adj, key=lambda a: (len(adj[a]), a))

@@ -9,6 +9,12 @@ The table owns its writes: outside the update and LocalQ.write it is
 read-only, and every write is logged by flat index. The coordinator's
 eliminations read that log to learn what changed since they last ran
 (coordgraph.EliminationPlan, with the LocalQs as its trackers).
+
+The defaults (alpha 0.5, gamma 0.9) settle on two cells and a 3-cell line
+but not on every graph: on a 4-cell line (3 levels, beta 0.3, epsilon 1 to
+0.05 over 12,000 episodes, seeds 0-4) the greedy joint action cycles, with
+1,865-2,025 changes in the last 3,000 episodes. Alpha 0.1 or gamma 0.5
+settle there, on the brute-force grid optimum.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ __all__ = [
     "NetworkConfig",
     "ActionGrid",
     "dbm_to_mw",
-    "mw_to_dbm",
     "sinr",
     "throughput",
     "sum_throughput",
@@ -35,13 +34,6 @@ def dbm_to_mw(x: float) -> float:
         return 10.0 ** (float(x) / 10.0)  # a float, not numpy's, raises on overflow
     except OverflowError:
         raise ValueError(f"{x} dBm is too large to express in mW") from None
-
-
-def mw_to_dbm(p: float) -> float:
-    """Convert a power from milliwatts to dBm: 10*log10(p). Requires p > 0."""
-    if p <= 0:
-        raise ValueError(f"power must be positive to express in dBm, got {p}")
-    return 10.0 * np.log10(p)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ elimination order, none of which change during training, and the tables
 are the agents' arrays, changed in place. So `train` binds it once: a
 Coordination holds the agents, a coordgraph.EliminationPlan of their
 tables, the bus and the send schedule, which it derives from the plan's
-order and steps and checks against the bus's agents once. The plan's
-one run computes every message's content, so the backhaul only counts
-and logs what is sent; it does not deliver. The tables are written only
+order and steps: the one place where message addressing is decided. The
+plan's one run computes every message's content, so the backhaul only
+counts and logs what is sent; it does not deliver. The tables are written only
 through LocalQ, which logs each write, so an elimination step whose
 tables were not written since its last run returns that run's result,
 and a large one recomputes only the joint rows that the written entries
@@ -84,14 +84,10 @@ __all__ = [
 
 @dataclass(slots=True)
 class _InterAgent:
-    """A message from one agent to another."""
+    """A message from one agent to another, as a Coordination's schedule addresses it."""
 
     sender: int
     recipient: int
-
-    def __post_init__(self):
-        if self.sender == self.recipient:
-            raise ValueError("inter-agent message must have sender != recipient")
 
 
 @dataclass(slots=True)
@@ -124,16 +120,14 @@ class RewardFeedback:
 
 
 class InMemoryBus:
-    """Process-local backhaul among fixed agents: the send side, no delivery.
+    """Process-local backhaul: the send side, no delivery.
 
-    Every message's content is known when it is sent, so nothing is
-    queued. Each send is counted, and kept in `log` when recording. Its
-    addressee is not checked: a Coordination checks once, when bound,
-    that every agent it sends to is one of the bus's `agents`.
+    Every message's content is known when it is sent, and its addressing
+    was decided once, by a Coordination's schedule, so nothing is queued
+    or checked. Each send is counted, and kept in `log` when recording.
     """
 
-    def __init__(self, agent_ids, record: bool = False):
-        self.agents = frozenset(agent_ids)
+    def __init__(self, *, record: bool = False):
         self.sent_count = 0
         self.log: list | None = [] if record else None
 
@@ -179,11 +173,11 @@ class Coordination:
     conditional-value tables of earlier steps, each of which was
     FFunction-forwarded to the agent of its scope eliminated soonest. A
     finished component's value, which has no scope, goes to the last
-    agent eliminated. Raises ValueError unless the agents are exactly the
-    agents in the tables' scopes, and RuntimeError when an agent is not on
-    the bus, so that no send needs checking. The tables are the LocalQs'
-    own arrays, written in place, so the plan stays valid while the agents
-    train.
+    agent eliminated. So every record's sender and recipient are two
+    different agents, and no send needs checking. Raises ValueError unless
+    the agents are exactly the agents in the tables' scopes. The tables
+    are the LocalQs' own arrays, written in place, so the plan stays valid
+    while the agents train.
     """
 
     def __init__(self, agents, order, bus: InMemoryBus | None = None):
@@ -194,10 +188,7 @@ class Coordination:
         if ids != in_scopes:
             raise ValueError(f"scopes mention {in_scopes} but the agents are {ids}")
         self.plan = plan = EliminationPlan(tables, order, [a.local_q for a in self.agents])
-        self.bus = InMemoryBus(ids) if bus is None else bus
-        unreachable = sorted(set(ids) - self.bus.agents)
-        if unreachable:
-            raise RuntimeError(f"unreachable agent {unreachable[0]}")
+        self.bus = InMemoryBus() if bus is None else bus
         # Input table i is agent ids[i]'s; step k's f is born n + k.
         n, last = len(ids), plan.order[-1]
         schedule = []

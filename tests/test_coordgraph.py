@@ -25,6 +25,11 @@ from coopa.runtime import Agent, Assignment, Coordination, FFunction, InMemoryBu
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
 
+def value_at(fn, assignment):
+    """The table's value at a (possibly larger) joint assignment."""
+    return fn.values[tuple(assignment[a] for a in fn.scope)]
+
+
 def enumerate_max(functions):
     """Independent oracle: python-loop argmax over the full joint space,
     lexicographic lowest-index tie-break."""
@@ -37,7 +42,7 @@ def enumerate_max(functions):
     best_value = -np.inf
     for combo in itertools.product(*(range(sizes[a]) for a in agents)):
         joint = dict(zip(agents, combo))
-        value = sum(fn.value_at(joint) for fn in functions)
+        value = sum(value_at(fn, joint) for fn in functions)
         if value > best_value:
             best_value = value
             best = joint
@@ -154,7 +159,7 @@ class TestVeArgmax:
         for order in [(4, 3, 2, 1), (1, 2, 3, 4), (2, 4, 1, 3)]:
             action, value = ve_argmax(fns, order)
             assert value == pytest.approx(expected_value, abs=1e-9)
-            assert sum(fn.value_at(action) for fn in fns) == pytest.approx(
+            assert sum(value_at(fn, action) for fn in fns) == pytest.approx(
                 value, abs=1e-9
             )
 
@@ -178,7 +183,7 @@ class TestVeArgmax:
                 order = default_elimination_order(graph, strategy)
                 action, value = ve_argmax(fns, order)
                 assert value == pytest.approx(expected_value, abs=1e-9)
-                assert sum(fn.value_at(action) for fn in fns) == pytest.approx(
+                assert sum(value_at(fn, action) for fn in fns) == pytest.approx(
                     value, abs=1e-9
                 )
 
@@ -274,15 +279,6 @@ class TestTables:
         with pytest.raises(ValueError):
             CoordinationGraph(((),))
 
-    def test_graph_edges_and_neighbors(self):
-        g = CoordinationGraph(((1, 2), (2, 4), (1, 3), (3, 4)))
-        assert g.n_agents == 4
-        assert g.neighbors(1) == {2, 3}
-        assert g.edges() == {
-            frozenset(p) for p in [(1, 2), (2, 4), (1, 3), (3, 4)]
-        }
-
-
 def reference_sum(functions, scope):
     """The joint table as a fresh broadcast sum per table, starting from
     +0.0 and adding in the order given: the summation VE must reproduce."""
@@ -333,7 +329,7 @@ def agents_holding(functions):
 
 def recording(agents, order):
     """A Coordination of the agents whose bus records."""
-    return Coordination(agents, order, InMemoryBus((a.id for a in agents), record=True))
+    return Coordination(agents, order, InMemoryBus(record=True))
 
 
 def logged_ve(coordination):
@@ -399,6 +395,8 @@ class TestProperties:
         received = {a: [] for a in order}  # births of the tables each agent is sent
         forwarded = 0
         for kind, sender, recipient, at in coordination.schedule:
+            assert sender != recipient
+            assert {sender, recipient} <= set(order)  # the coordination's agent ids
             if kind is ShareQ:
                 received[recipient].append(at)
             elif kind is FFunction:
@@ -423,7 +421,7 @@ class TestProperties:
         functions, order, integral = instance
         action, value = ve_argmax(functions, order)
         _, expected = brute_force_argmax(functions)
-        attained = sum(fn.value_at(action) for fn in functions)
+        attained = sum(value_at(fn, action) for fn in functions)
         if integral:  # every partial sum is exact
             assert value == expected == attained
         else:  # summation orders differ; |values| <= 50, a few ulps apart
@@ -491,6 +489,13 @@ class TestPlan:
                 ve_argmax(functions, (1, 0))
             with pytest.raises(ValueError, match="overflow"):
                 ve_via_messages(Coordination(agents_holding(functions), (1, 0)))
+
+    def test_overflow_in_the_last_step_rejected(self):
+        # The only step has no scope left: its value is the last one checked.
+        functions = [FunctionTable((0,), np.array([1e308, 0.0])) for _ in range(2)]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                ve_argmax(functions, (0,))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_nonfinite_table_entry_rejected(self, entry):
@@ -689,6 +694,50 @@ class TestMemo:
         agents[2].local_q.write((1, 1, 1), kept)
         action, value = ve_via_messages(coordination)
         expected_action, expected_value, conditionals = plan.run()
+        assert action == expected_action
+        assert same_bits(value, expected_value)
+        for memo, f in zip(coordination.plan.memos, conditionals):
+            assert same_bits(memo.f.values, f.values)
+
+    def test_a_step_that_raised_left_its_b_as_it_was(self, monkeypatch):
+        monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+        rng = np.random.default_rng(3)
+        agents = ring_agents(4, 5, rng)
+        coordination = Coordination(agents, (0, 1, 2, 3))
+        ve_via_messages(coordination)
+        memo = coordination.plan.memos[0]
+        b = memo.b.values.copy()
+        # Gathered by step 0 (eliminating agent 0): the best response in
+        # its rows (a1, a2) = (2, 1) would become action 4.
+        agents[1].local_q.write((4, 2, 1), np.inf)
+        with pytest.raises(ValueError, match="eliminating agent 0"):
+            ve_via_messages(coordination)
+        assert same_bits(memo.b.values, b)
+
+    def test_a_step_two_versions_behind_learns_both_changes(self, monkeypatch):
+        # Step 2 gathers step 0's f. Step 1 raises once in between, so
+        # step 2 misses a run and is two versions of that f behind.
+        monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+        rng = np.random.default_rng(5)
+        scopes = [(0, 2, 3), (1, 2), (2, 3), (3,)]
+        agents = agents_holding([FunctionTable(s, rng.uniform(-1, 1, (3,) * len(s))) for s in scopes])
+        order = (0, 1, 2, 3)
+        coordination = Coordination(agents, order)
+        assert coordination.plan.steps[2].gather == (2, 4, 5)  # table 4 is step 0's f
+        ve_via_messages(coordination)
+        t0, t1 = agents[0].local_q, agents[1].local_q
+        kept = t1.values[0, 0]
+        t0.write((0, 0, 0), 100.0)  # step 0's f changes at (a2, a3) = (0, 0)
+        t1.write((0, 0), np.inf)
+        with pytest.raises(ValueError, match="eliminating agent 1"):
+            ve_via_messages(coordination)
+        t1.write((0, 0), kept)
+        t0.write((0, 0, 1), 100.0)  # and now at (0, 1)
+        action, value = ve_via_messages(coordination)
+        _, fresh = plan_of(agents, order)
+        expected_action, expected_value, conditionals = fresh.run()
         assert action == expected_action
         assert same_bits(value, expected_value)
         for memo, f in zip(coordination.plan.memos, conditionals):

@@ -25,11 +25,6 @@ class TestDbmConversion:
         # 10 ** 1.3 evaluated independently
         assert radio.dbm_to_mw(13.0) == pytest.approx(19.9526, abs=1e-4)
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        for x in rng.uniform(-60.0, 40.0, 200):
-            assert radio.mw_to_dbm(radio.dbm_to_mw(x)) == pytest.approx(x, rel=1e-9)
-
     def test_strictly_increasing(self):
         xs = np.linspace(-50, 40, 500)
         ys = [radio.dbm_to_mw(x) for x in xs]
@@ -39,11 +34,6 @@ class TestDbmConversion:
         for x in (4000.0, np.float64(4000.0)):
             with pytest.raises(ValueError, match="too large"):
                 radio.dbm_to_mw(x)
-
-    def test_dbm_of_nonpositive_power_rejected(self):
-        with pytest.raises(ValueError):
-            radio.mw_to_dbm(0.0)
-
 
 class TestSinr:
     def test_no_interferer_power(self):

@@ -37,10 +37,6 @@ def make_coordination_agents(scopes, rng, n_actions=2):
     return agents
 
 
-def recording_bus(agents):
-    return InMemoryBus((a.id for a in agents), record=True)
-
-
 def ring_config(cells):
     """A ring where each cell interferes with its two neighbours only."""
     beta = np.zeros((cells, cells))
@@ -79,7 +75,7 @@ class TestVeViaMessages:
         rng = np.random.default_rng(1)
         agents = make_coordination_agents([(0, 1), (0, 1)], rng)
         for order in [(1, 0), (0, 1)]:
-            bus = recording_bus(agents)
+            bus = InMemoryBus(record=True)
             ve_via_messages(Coordination(agents, order, bus))
             kinds = [type(m).__name__ for m in bus.log]
             assert kinds == ["ShareQ", "FFunction", "Assignment"]
@@ -94,7 +90,7 @@ class TestVeViaMessages:
         # induced tables to agents 2 and 1 respectively
         rng = np.random.default_rng(2)
         agents = make_coordination_agents([(0, 1), (1, 3), (0, 2), (2, 3)], rng)
-        bus = recording_bus(agents)
+        bus = InMemoryBus(record=True)
         action, value = ve_via_messages(Coordination(agents, (3, 2, 1, 0), bus))
         ffs = [(m.sender, m.recipient, m.table.scope) for m in bus.log
                if isinstance(m, FFunction)]
@@ -107,7 +103,7 @@ class TestVeViaMessages:
     def test_single_agent_no_messages(self):
         rng = np.random.default_rng(3)
         agents = make_coordination_agents([(0,)], rng, n_actions=4)
-        bus = recording_bus(agents)
+        bus = InMemoryBus(record=True)
         action, value = ve_via_messages(Coordination(agents, (0,), bus))
         assert bus.log == []
         assert action == {0: int(np.argmax(agents[0].local_q.values))}
@@ -133,26 +129,18 @@ class TestVeViaMessages:
         agents = make_coordination_agents([(0, 1), (1, 3), (0, 2), (2, 3)], rng)
         coordination = Coordination(agents[::-1], (3, 2, 1, 0))
         assert [a.id for a in coordination.agents] == [0, 1, 2, 3]
-        assert coordination.bus.agents == {0, 1, 2, 3}
+        # A private bus that keeps no log; binding sends nothing.
+        assert (coordination.bus.sent_count, coordination.bus.log) == (0, None)
         assert [(kind.__name__, s, r) for kind, s, r, _ in coordination.schedule] == [
             ("ShareQ", 1, 3), ("FFunction", 3, 2), ("FFunction", 2, 1), ("ShareQ", 0, 1),
             ("FFunction", 1, 0), ("Assignment", 0, 1), ("Assignment", 1, 2), ("Assignment", 2, 3),
         ]
-        with pytest.raises(RuntimeError, match="unreachable agent 2"):
-            Coordination(agents, (3, 2, 1, 0), InMemoryBus([0, 1, 3]))
-
-    def test_unregistered_agent_unreachable(self):
-        rng = np.random.default_rng(7)
-        agents = make_coordination_agents([(0, 1), (0, 1)], rng)
-        bus = InMemoryBus([0])  # agent 1 missing
-        with pytest.raises(RuntimeError):
-            Coordination(agents, (1, 0), bus)
 
 
 def setup_run(beta=0.3, n_power=5, **params_kw):
     cfg = radio.two_cell_config(beta, n_power=n_power)
     agents = build_agents(cfg)
-    bus = recording_bus(agents)
+    bus = InMemoryBus(record=True)
     params = LearningParams(**params_kw)
     return cfg, agents, bus, params
 
@@ -208,7 +196,7 @@ class TestRunEpisode:
         params = LearningParams(alpha=1.0, gamma=0.0, epsilon_start=1.0,
                                 epsilon_end=1.0)
         rng = np.random.default_rng(3)
-        trace = run_episode(Coordination(agents, (0,), InMemoryBus([0])), cfg, params, 0, rng)
+        trace = run_episode(Coordination(agents, (0,), InMemoryBus()), cfg, params, 0, rng)
         a = trace.actions[0]
         expected = np.log2(1 + radio.sinr(0, trace.powers_mw, cfg))
         assert agents[0].local_q.values[a] == pytest.approx(expected, abs=1e-12)
@@ -243,7 +231,7 @@ class TestRunEpisode:
         rng = np.random.default_rng(2)
         for a in agents:
             a.local_q.write(..., rng.uniform(-1, 1, a.local_q.values.shape))
-        bus = recording_bus(agents)
+        bus = InMemoryBus(record=True)
         run_episode(Coordination(agents, (3, 2, 1, 0), bus), cfg, LearningParams(), 0, rng)
 
         def protocol(msg):
@@ -434,6 +422,16 @@ class TestReachesGridOptimum:
         assert tuple(self.learned_powers(cfg, params, 2000, seed)) == best.powers_mw
 
     @pytest.mark.parametrize("seed", range(5))
+    def test_four_cell_line_at_alpha_tenth(self, seed):
+        # At the default alpha 0.5 the greedy action of this line cycles
+        # (learner module docstring); at 6,000 episodes 2 of these 5 seeds
+        # still miss the optimum.
+        cfg = line_config(4, 3)
+        params = LearningParams(alpha=0.1, epsilon_decay_episodes=12000)
+        best = oracle.brute_force_grid_optimum(cfg, radio.build_action_grid(cfg))
+        assert tuple(self.learned_powers(cfg, params, 12000, seed)) == best.powers_mw
+
+    @pytest.mark.parametrize("seed", range(5))
     def test_three_cell_line_at_the_defaults(self, seed):
         cfg = line_config(3, 4)
         best = oracle.brute_force_grid_optimum(cfg, radio.build_action_grid(cfg))
@@ -471,15 +469,6 @@ class TestTraceCsv:
 
 
 class TestMessages:
-    def test_self_message_rejected(self):
-        table = None
-        with pytest.raises(ValueError):
-            ShareQ(1, 1, table)
-        with pytest.raises(ValueError):
-            FFunction(2, 2, table)
-        with pytest.raises(ValueError):
-            Assignment(3, 3, {})
-
     def test_agent_id_must_match_local_q(self):
         q = LocalQ(agent=0, scope=(0,), n_actions=(2,))
         with pytest.raises(ValueError):
