@@ -17,14 +17,16 @@ every exact maximization here is one run of a plan: eliminate_agent is
 the kernel of one plan step and takes that step's layout. Who sends which
 table to whom is the message-passing runner's business
 (runtime.Coordination), derived from a plan's order and steps. A plan
-whose tables' writers log what they write (learner.LocalQ) keeps a
-StepMemo per step across its runs: a step whose tables nobody wrote
-since its last run returns that run's result, and a large one recomputes
-just the joint rows that the written entries, or the changed entries of
-earlier steps, reach.
+whose tables' writers log what they write (learner.LocalQ) remembers
+where its last complete run began and keeps each step's result from it
+(StepMemo): a run when nothing was written returns the last result, a
+step none of whose tables changed since returns its memo, and a large
+one recomputes just the joint rows that the written entries, or the
+changed entries of earlier steps, reach.
 Tables the kernel derives skip FunctionTable's validation; each
 conditional-value table is checked to be finite, which catches a sum
-that overflows and a non-finite input that reaches a row's maximum.
+that overflows and a non-finite input that reaches a row's maximum, and
+so is the sum of the finished components' values.
 
 All argmax operations break ties toward the lowest action index, and the
 scope of every derived table is kept sorted by agent id, so results are
@@ -254,63 +256,51 @@ class PlanStep(NamedTuple):
 
 
 class StepMemo:
-    """A plan step's last result in its EliminationPlan, which owns it.
+    """A plan step's f and b as of its EliminationPlan's last run, which
+    owns it. A run writes changed rows into b in place but replaces f by
+    a copy, so an f once returned never changes."""
 
-    f and b are the step's conditional-value and best-response tables as
-    of its last run, and seen the version of each table it gathered then.
-    A run writes changed rows into b in place but replaces f by a copy,
-    so an f once returned never changes.
-    version counts the runs that changed f; changed holds the flat indices
-    of the entries of f the latest one changed (None: all of them).
-    """
-
-    __slots__ = ("f", "b", "seen", "version", "changed")
+    __slots__ = ("f", "b")
 
     def __init__(self):
-        self.f = self.b = self.seen = self.changed = None
-        self.version = 0
-
-    def changes_since(self, version: int):
-        """Flat indices of the entries of f changed after `version`, or
-        None when that is not known."""
-        if version == self.version:
-            return ()
-        return self.changed if version == self.version - 1 else None
+        self.f = self.b = None
 
 
-def _dirty_rows(layout: Layout, sources, seen) -> np.ndarray | None:
-    """Flat indices of the joint rows that the changes to the gathered
-    tables since `seen` reach, or None when a change is not known."""
+def _dirty_rows(layout: Layout, changes) -> np.ndarray:
+    """Flat indices of the joint rows that the gathered tables' changed
+    entries (flat indices, one sequence per table) reach."""
     dirty = np.zeros(layout.joint_shape[:-1], dtype=bool)
-    for source, version, (shape, axes) in zip(sources, seen, layout.marks):
-        entries = source.changes_since(version)
-        if entries is None:
-            return None
+    for entries, (shape, axes) in zip(changes, layout.marks):
         if len(entries):
             at = np.unravel_index(entries, shape)
             dirty[tuple(slice(None) if k is None else at[k] for k in axes)] = True
     return np.flatnonzero(dirty)
 
 
-def _run_step(step: PlanStep, memo: StepMemo, functions, sources, seen) -> FunctionTable:
+def _run_step(step: PlanStep, memo: StepMemo, functions, changes):
     """Run one step, continuing from its memo where that pays, and update
-    the memo; returns the step's f.
+    the memo; returns the step's f and the flat indices of the entries of
+    f that changed since the plan's last complete run (None: not known).
 
-    A memoized step with at most MEMO_MAX_DIRTY_SHARE of its joint rows
-    dirty recomputes just those. Each sums the same tables in the same
-    order from +0.0 as the full kernel, so f and b there equal its bits
-    and action indices; other rows keep the memo's. They go into the
-    memo's b in place once they pass the finite check (only the plan
-    reads b), and into a copy of f, which callers hold. Every other run
-    takes eliminate_agent in full. An f with a scope, which a later step
-    gathers, is returned as the memo's object when equal to it (f never
-    holds -0.0, see _aligned_sum, so equal values are equal bits), so that
-    step sees no change; the entries that changed are logged in the memo.
+    `changes` holds, per gathered table, the entries changed since that
+    run, or None when not known. A step with no changed input returns its
+    memo. A memoized step with every input known and at most
+    MEMO_MAX_DIRTY_SHARE of its joint rows dirty recomputes just those.
+    Each sums the same tables in the same order from +0.0 as the full
+    kernel, so f and b there equal its bits and action indices; other
+    rows keep the memo's. They go into the memo's b in place once they
+    pass the finite check (only the plan reads b), and into a copy of f,
+    which callers hold. Every other run takes eliminate_agent in full; an
+    f with a scope, which a later step gathers, is compared with the
+    memo's when every input is known (f never holds -0.0, see
+    _aligned_sum, so equal values are equal bits).
     """
     layout = step.layout
-    rows = None
-    if step.memo and memo.seen is not None:
-        rows = _dirty_rows(layout, sources, memo.seen)
+    sizes = [len(entries) for entries in changes if entries is not None]
+    known = len(sizes) == len(changes)
+    if known and not any(sizes):
+        return memo.f, ()
+    rows = _dirty_rows(layout, changes) if known and step.memo else None
     if rows is not None and rows.size <= MEMO_MAX_DIRTY_SHARE * layout.rows.size:
         idx = np.unravel_index(rows, layout.joint_shape[:-1])
         total = np.zeros((rows.size, layout.joint_shape[-1]))
@@ -332,16 +322,9 @@ def _run_step(step: PlanStep, memo: StepMemo, functions, sources, seen) -> Funct
             f = FunctionTable._trusted(layout.remaining, f)
     else:
         f, b = eliminate_agent(functions, step.agent, layout=layout)
-        changed = None
-        if layout.remaining and memo.f is not None:
-            changed = (f.values != memo.f.values).ravel().nonzero()[0]
-            if not changed.size:
-                f = memo.f
-    memo.f, memo.b, memo.seen = f, b, seen
-    if changed is None or changed.size:
-        memo.version += 1
-        memo.changed = changed
-    return f
+        changed = (f.values != memo.f.values).ravel().nonzero()[0] if known and layout.remaining else None
+    memo.f, memo.b = f, b
+    return f, changed
 
 
 class EliminationPlan:
@@ -357,16 +340,16 @@ class EliminationPlan:
     tables' scopes and shapes and the order, and are worked out once.
 
     Each input table's array must stay the same object and change only in
-    place. With trackers, each write goes through a writer that logs it:
-    trackers[i], for input i, has a `version` and changes_since(version)
-    (LocalQ does). Each step keeps a StepMemo, which tracks its f the same
-    way. A step whose gathered tables are all at the versions of its last
-    run returns that run's f and b; a memoized step (PlanStep.memo) takes
-    its dirty rows from the writers' logs and the rows the steps before it
-    changed; any other step runs eliminate_agent in full. The result
-    equals a fresh plan's bit for bit. A step updates its memo only once
-    it succeeded, so a run that raises leaves no memo ahead of the tables
-    it saw. Without trackers every run is a full one.
+    place. With trackers, one per table, each write goes through a writer
+    that logs it: trackers[i], for input i, has a `version` and
+    changes_since(version) (LocalQ does). The plan then keeps `_seen`, its
+    trackers' versions when its last complete run began, and each step's
+    StepMemo. A run when no version moved returns the last result; any
+    other run reads each tracker's changes since `_seen` once and hands
+    every step the changes of the tables it gathers (see _run_step). The
+    result equals a fresh plan's bit for bit. A run clears `_seen` on
+    entry and sets it only once it succeeded, so the run after one that
+    raised is a full one. Without trackers every run is a full one.
     """
 
     def __init__(self, tables, order, trackers=None):
@@ -380,6 +363,10 @@ class EliminationPlan:
             raise ValueError(
                 f"elimination order {order} must cover exactly the agents {sorted(in_scopes)}"
             )
+        if trackers is not None:
+            trackers = tuple(trackers)
+            if len(trackers) != len(scopes):
+                raise ValueError(f"trackers: {len(trackers)} given for {len(scopes)} tables")
         sizes = _action_sizes(scopes, [t.values.shape for t in self.tables])
 
         live = [(k, s) for k, s in enumerate(scopes) if s]
@@ -401,11 +388,8 @@ class EliminationPlan:
         self.steps = tuple(steps)
         self.finished = tuple(finished)
         self.memos = tuple(StepMemo() for _ in self.steps)
-        self._tracked = trackers is not None
-        sources = [*(trackers or [None] * len(scopes)), *self.memos]
-        self._steps = tuple(
-            (step, memo, tuple(sources[i] for i in step.gather)) for step, memo in zip(self.steps, self.memos)
-        )
+        self._trackers = trackers
+        self._seen = self._last = None
         self._born = list(self.tables) + [None] * len(self.steps)
 
     def run(self) -> tuple[dict[int, int], float, list[FunctionTable]]:
@@ -415,26 +399,33 @@ class EliminationPlan:
         values, then walks the steps in reverse, giving each agent its
         best response to the agents already decided. Returns the joint
         action {agent: action index}, keyed in that reverse order, the
-        attained value, and each step's conditional-value table.
+        attained value, and each step's conditional-value table (a run
+        when no tracker's version moved returns the last run's objects).
+        Raises ValueError when a conditional value or that sum is not
+        finite.
         """
-        born = self._born
-        k = len(self.tables)
-        for step, memo, sources in self._steps:
-            seen = None
-            if self._tracked:
-                seen = tuple([source.version for source in sources])
-            if seen is not None and seen == memo.seen:
-                born[k] = memo.f
-            else:
-                born[k] = _run_step(step, memo, [born[i] for i in step.gather], sources, seen)
-            k += 1
+        now = None if self._trackers is None else tuple([t.version for t in self._trackers])
+        if now is not None and now == self._seen:
+            return self._last
+        seen, self._seen = self._seen, None
+        born, n = self._born, len(self.tables)
+        changes = [None] * len(born)
+        if seen is not None:
+            changes[:n] = [t.changes_since(v) for t, v in zip(self._trackers, seen)]
+        for k, (step, memo) in enumerate(zip(self.steps, self.memos), n):
+            born[k], changes[k] = _run_step(
+                step, memo, [born[i] for i in step.gather], [changes[i] for i in step.gather]
+            )
         value = 0.0
         for i in self.finished:
             value += float(born[i].values)
+        if not math.isfinite(value):
+            raise ValueError("the components' values sum to a non-finite value (overflow)")
         assignment: dict[int, int] = {}
         for step, memo in zip(reversed(self.steps), reversed(self.memos)):
             assignment[step.agent] = int(memo.b.values[tuple([assignment[a] for a in step.layout.remaining])])
-        return assignment, value, born[len(self.tables):]
+        self._seen, self._last = now, (assignment, value, born[n:])
+        return self._last
 
 
 def ve_argmax(functions, order) -> tuple[dict[int, int], float]:

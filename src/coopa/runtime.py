@@ -22,10 +22,11 @@ tables, the bus and the send schedule, which it derives from the plan's
 order and steps: the one place where message addressing is decided. The
 plan's one run computes every message's content, so the backhaul only
 counts and logs what is sent; it does not deliver. The tables are written only
-through LocalQ, which logs each write, so an elimination step whose
-tables were not written since its last run returns that run's result,
-and a large one recomputes only the joint rows that the written entries
-reach.
+through LocalQ, which logs each write, so a plan run when no table was
+written returns the last run's result, an elimination step whose tables
+were not written since the last complete run returns its result from
+that run, and a large one recomputes only the joint rows that the
+written entries reach.
 
 Everything is deterministic under a fixed seed, regardless of scheduling.
 """
@@ -162,11 +163,12 @@ class Coordination:
 
     Holds the agents sorted by id, the coordgraph.EliminationPlan of
     their tables for `order`, with each agent's LocalQ as the tracker of
-    its writes (so the plan keeps every step's memo), the bus
-    (a private one when None), and the send schedule: one (kind, sender,
-    recipient, payload) record per message of a selection, in protocol
-    order, where payload is the shared table's birth (ShareQ), the step
-    (FFunction) or the number of decided actions carried (Assignment).
+    its writes (so each run continues from the plan's last complete one,
+    see EliminationPlan), the bus (a private one when None), and the
+    send schedule: one (kind, sender, recipient, payload) record per
+    message of a selection, in protocol order, where payload is the
+    shared table's birth (ShareQ), the step (FFunction) or the number of
+    decided actions carried (Assignment).
 
     Each step's agent is sent every table it gathers that it does not
     hold: the other agents' tables by ShareQ, in id order, and the
@@ -235,8 +237,8 @@ def ve_via_messages(coordination: Coordination) -> tuple[dict[int, int], float]:
 
     The plan's run computes the content of every message, so the bus then
     carries the traffic of both passes in protocol order (the
-    Coordination's schedule). A step whose tables nobody wrote since its
-    last run returns that run's result.
+    Coordination's schedule). A plan run when nobody wrote the tables since
+    the last returns that run's result; its messages are sent all the same.
     """
     assignment, value, conditionals = coordination.plan.run()
     tables = coordination.plan.tables
@@ -290,7 +292,8 @@ def run_episode(
     log2(1 + SINR) under cfg of the actually transmitted powers. A second
     elimination pass supplies the greedy joint action whose scoped slice
     each agent bootstraps on. Nothing writes the tables between the
-    passes, so every step of the second returns its memo from the first.
+    passes, so the second's plan run returns the first's result without
+    running a step; the second still sends its messages.
 
     With `parallel`, the updates run on a pool opened for this episode
     with two workers (see the module docstring for why two): the agents,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from coopa import coordgraph
 from coopa.coordgraph import (
@@ -497,6 +498,31 @@ class TestPlan:
             with pytest.raises(ValueError, match="overflow"):
                 ve_argmax(functions, (0,))
 
+    def test_overflowing_sum_of_components_rejected(self):
+        # Each component's value is finite; their sum is not.
+        functions = [FunctionTable((0,), np.array([1e308, 0.0])), FunctionTable((1,), np.array([1e308, 0.0]))]
+        with pytest.raises(ValueError, match="overflow"):
+            ve_argmax(functions, (0, 1))
+        with pytest.raises(ValueError, match="overflow"):
+            ve_via_messages(Coordination(agents_holding(functions), (0, 1)))
+
+    def test_overflowing_constant_and_component_rejected(self):
+        # A constant table cannot be an agent's (its scope lacks the
+        # owner), so this one runs through ve_argmax and a plan only.
+        functions = [FunctionTable((), np.array(1e308)), FunctionTable((0,), np.array([1e308, 0.0]))]
+        with pytest.raises(ValueError, match="overflow"):
+            ve_argmax(functions, (0,))
+        with pytest.raises(ValueError, match="overflow"):
+            EliminationPlan(functions, (0,)).run()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_tracker_count_must_match_the_tables(self, extra):
+        agents = agents_holding([FunctionTable((0, 1), np.zeros((2, 2))) for _ in range(2)])
+        tables = [a.local_q.as_function_table(0) for a in agents]
+        trackers = [a.local_q for a in agents] + [agents[0].local_q]
+        with pytest.raises(ValueError, match="trackers"):
+            EliminationPlan(tables, (1, 0), trackers[: len(tables) + extra])
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_nonfinite_table_entry_rejected(self, entry):
         # Written past local_update, straight into an agent's table.
@@ -681,16 +707,14 @@ class TestMemo:
         tables, plan = plan_of(agents, order)
         assert plan.steps[1].memo and 2 in plan.steps[1].gather
         ve_via_messages(coordination)
-        first, memo = coordination.plan.memos[:2]
-        version = first.version
-        f, b, seen = memo.f, memo.b, memo.seen
+        memo = coordination.plan.memos[1]
+        f, b = memo.f, memo.b
         agents[1].local_q.write((0, 1, 2), 7.0)
         kept = agents[2].local_q.values[1, 1, 1]
         agents[2].local_q.write((1, 1, 1), np.inf)
         with pytest.raises(ValueError, match="eliminating agent 1"):
             ve_via_messages(coordination)
-        assert first.version == version + 1
-        assert memo.f is f and memo.b is b and memo.seen == seen
+        assert memo.f is f and memo.b is b
         agents[2].local_q.write((1, 1, 1), kept)
         action, value = ve_via_messages(coordination)
         expected_action, expected_value, conditionals = plan.run()
@@ -742,3 +766,103 @@ class TestMemo:
         assert same_bits(value, expected_value)
         for memo, f in zip(coordination.plan.memos, conditionals):
             assert same_bits(memo.f.values, f.values)
+
+    def test_a_log_cut_back_since_the_last_run_counts_as_unknown(self, every_step_memoized):
+        # Three times agent 1's table written between two runs: its log no
+        # longer reaches back to the first run, so no step may assume the
+        # table unchanged.
+        rng = np.random.default_rng(7)
+        agents = ring_agents(4, 3, rng)
+        order = (0, 1, 2, 3)
+        coordination = Coordination(agents, order)
+        ve_via_messages(coordination)
+        q = agents[1].local_q
+        for _ in range(3):
+            q.write(..., rng.uniform(-1, 1, q.values.shape))
+        assert q.changes_since(0) is None
+        action, value = ve_via_messages(coordination)
+        _, fresh = plan_of(agents, order)
+        expected_action, expected_value, conditionals = fresh.run()
+        assert action == expected_action
+        assert same_bits(value, expected_value)
+        for memo, f in zip(coordination.plan.memos, conditionals):
+            assert same_bits(memo.f.values, f.values)
+
+
+ORDERS = ((0, 1, 2, 3, 4), (2, 3, 4, 0, 1))
+WRITTEN = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.floats(-2, 2))
+
+
+class TrackedPlanMachine(RuleBasedStateMachine):
+    """Two Coordinations, in different orders, over one 5-agent ring of
+    3-level tables, with every step that has a scope memoized; each has
+    run once when the rules start. Writes of up to three times a table
+    (so its log is cut back) and non-finite plants come between runs;
+    every run must equal a fresh untracked plan and a fresh Coordination
+    bit for bit. A plant that raises past step 0 does so in a run that
+    has already moved the memos of the steps before."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = coordgraph.MEMO_MIN_ENTRIES
+        coordgraph.MEMO_MIN_ENTRIES = 0
+        self.agents = ring_agents(5, 3, np.random.default_rng(0))
+        self.coordinations = [recording(self.agents, order) for order in ORDERS]
+        for which in range(len(ORDERS)):
+            self.run(which)
+
+    def teardown(self):
+        coordgraph.MEMO_MIN_ENTRIES = self.gate
+
+    def write(self, agent, k, data):
+        q = self.agents[agent].local_q
+        entries = data.draw(st.lists(st.integers(0, q.size - 1), min_size=k, max_size=k), label="entries")
+        q.write(np.unravel_index(entries, q.n_actions), data.draw(st.lists(WRITTEN, min_size=k, max_size=k)))
+
+    @rule(agent=st.integers(0, 4), k=st.integers(1, 3), data=st.data())
+    def write_few(self, agent, k, data):
+        """The row path."""
+        self.write(agent, k, data)
+
+    @rule(agent=st.integers(0, 4), k=st.integers(4, 81), data=st.data())
+    def write_many(self, agent, k, data):
+        """The full kernel, or over 54 entries, a log cut back."""
+        self.write(agent, k, data)
+
+    @rule(which=st.integers(0, len(ORDERS) - 1))
+    def run(self, which):
+        coordination, order = self.coordinations[which], ORDERS[which]
+        action, value, log = logged_ve(coordination)
+        tables = [a.local_q.as_function_table(0) for a in self.agents]
+        fresh = EliminationPlan(tables, order)
+        expected_action, expected_value, expected = fresh.run()
+        assert list(action.items()) == list(expected_action.items())
+        assert same_bits(value, expected_value)
+        conditionals = coordination.plan.run()[2]
+        assert all(same_bits(f.values, g.values) for f, g in zip(conditionals, expected))
+        for memo, want in zip(coordination.plan.memos, fresh.memos):
+            assert same_bits(memo.f.values, want.f.values)
+            assert same_bits(memo.b.values, want.b.values)
+        assert log == logged_ve(recording(self.agents, order))[2]
+
+    @rule(which=st.integers(0, len(ORDERS) - 1), bad=st.sampled_from([np.nan, np.inf]), retry=st.booleans(),
+          data=st.data())
+    def plant(self, which, bad, retry, data):
+        # A step first, then a table it gathers: later steps raise as often as step 0.
+        gathered = [[i for i in s.gather if i < len(self.agents)] for s in self.coordinations[which].plan.steps]
+        agent = data.draw(st.sampled_from([g for g in gathered if g]).flatmap(st.sampled_from), label="agent")
+        q = self.agents[agent].local_q
+        at = np.unravel_index(data.draw(st.integers(0, q.size - 1), label="entry"), q.n_actions)
+        kept = q.values[at]
+        q.write(at, bad)
+        with pytest.raises(ValueError, match="not finite"):
+            ve_via_messages(self.coordinations[which])
+        q.write(at, kept)
+        if retry:
+            self.run(which)
+
+
+TestTrackedPlanMachine = TrackedPlanMachine.TestCase
+TestTrackedPlanMachine.settings = settings(
+    derandomize=True, database=None, max_examples=40, stateful_step_count=50, deadline=None
+)
