@@ -47,7 +47,7 @@ print(f"\nstep 0 eliminates agent {step.agent}: gathers tables {step.gather}, "
       f"leaves scope {step.layout.remaining}")
 f, b = eliminate_agent([functions[i] for i in step.gather], step.agent, layout=step.layout)
 print(f"f over {f.scope} (induced edge):\n{f.values}")
-print(f"best responses of agent {step.agent}:\n{b.values}")
+print(f"best responses of agent {step.agent}:\n{b}")
 
 # The full algorithm, and the exhaustive check.
 action, value = ve_argmax(functions, order)

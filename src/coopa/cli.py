@@ -295,13 +295,16 @@ def run_sweep(config: ExperimentConfig, path=None) -> str:
 
     Rows are ordered by beta regardless of completion order; points train
     on derived per-beta seeds, so output is deterministic for a given
-    config and seed. Returns the CSV path.
+    config and seed. The CSV's directory is made before any point
+    trains, so a path that cannot hold it fails first. Returns the CSV
+    path.
     """
     if len(config.gains) != 2:
         raise ConfigValueError("sweep compares against the two-user closed form")
     betas = sorted(config.betas)
     if path is None:
         path = os.path.join(config.out_dir, "sweep.csv")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tasks = [(config, beta, k) for k, beta in enumerate(betas)]
     workers = sweep_workers(len(tasks))
     if workers > 1:
@@ -312,7 +315,6 @@ def run_sweep(config: ExperimentConfig, path=None) -> str:
     else:
         rows = [_sweep_point(t) for t in tasks]
 
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
@@ -370,10 +372,9 @@ def _learned_powers(net: radio.NetworkConfig, agents) -> np.ndarray:
 
 def _cmd_run(args) -> int:
     config = _load_with_overrides(args)
+    os.makedirs(config.out_dir, exist_ok=True)
     net, agents, traces = _train_from_config(config)
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    trace_path = os.path.join(out_dir, "trace.csv")
+    trace_path = os.path.join(config.out_dir, "trace.csv")
     runtime.write_trace_csv(traces, trace_path)
     print(f"wrote {trace_path}")
 
@@ -397,6 +398,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_surface(args) -> int:
     config = _load_with_overrides(args)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     _, agents, _ = _train_from_config(config)
     path = export_q_surface(agents, args.out)
     print(f"wrote {path}")
@@ -450,7 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
 

@@ -18,11 +18,12 @@ the kernel of one plan step and takes that step's layout. Who sends which
 table to whom is the message-passing runner's business
 (runtime.Coordination), derived from a plan's order and steps. A plan
 whose tables' writers log what they write (learner.LocalQ) remembers
-where its last complete run began and keeps each step's result from it
-(StepMemo): a run when nothing was written returns the last result, a
-step none of whose tables changed since returns its memo, and a large
-one recomputes just the joint rows that the written entries, or the
-changed entries of earlier steps, reach.
+where its last complete run began; every plan holds each step's last f
+among its tables' births and its last b in a list of index arrays. A
+run when nothing was written returns the last result, a step none of
+whose tables changed since returns its last f and b, and a large one
+recomputes just the joint rows that the written entries, or the changed
+entries of earlier steps, reach.
 Tables the kernel derives skip FunctionTable's validation; each
 conditional-value table is checked to be finite, which catches a sum
 that overflows and a non-finite input that reaches a row's maximum, and
@@ -46,7 +47,6 @@ __all__ = [
     "FunctionTable",
     "CoordinationGraph",
     "EliminationPlan",
-    "StepMemo",
     "eliminate_agent",
     "ve_argmax",
     "brute_force_argmax",
@@ -62,7 +62,7 @@ MAX_INDUCED_SCOPE = 8
 # Cap on enumerable joint-action combinations for the brute-force oracle.
 MAX_BRUTE_FORCE = 10**7
 
-# A plan step keeps a StepMemo when its joint table has this many entries.
+# A plan step is memoized when its joint table has this many entries.
 # Smaller ones cost little in full: memoizing the 2-cell 21x21 step made a
 # 21-level train 45% slower, while ring6's 11^5 and 11^4 steps gain.
 MEMO_MIN_ENTRIES = 4096
@@ -213,14 +213,15 @@ def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
     return Layout(tuple(remaining), _views(scopes, joint, sizes), joint_shape, rows, marks)
 
 
-def eliminate_agent(functions, agent: int, *, layout: Layout) -> tuple[FunctionTable, FunctionTable]:
+def eliminate_agent(functions, agent: int, *, layout: Layout) -> tuple[FunctionTable, np.ndarray]:
     """Maximize the sum of one EliminationPlan step's tables over `agent`'s action.
 
     `functions` must be exactly the tables the step gathers, in its order,
     and `layout` the step's; nothing is derived or validated again.
-    Returns (f, b): f maps each joint action of layout.remaining to the
-    best achievable sum, b to the maximizing action index of `agent`
-    (lowest index on ties).
+    Returns (f, best): f maps each joint action of layout.remaining to the
+    best achievable sum, and best, an index array with one axis per
+    remaining agent, holds the maximizing action index of `agent` (lowest
+    index on ties).
     """
     joint = _aligned_sum(functions, layout.views, layout.joint_shape)
     best = np.asarray(joint.argmax(axis=-1))
@@ -228,9 +229,7 @@ def eliminate_agent(functions, agent: int, *, layout: Layout) -> tuple[FunctionT
     # index into the (contiguous) joint table.
     values = joint.take(layout.rows + best.ravel()).reshape(best.shape)
     _check_finite(values, agent)
-    f = FunctionTable._trusted(layout.remaining, values)
-    b = FunctionTable._trusted(layout.remaining, best)
-    return f, b
+    return FunctionTable._trusted(layout.remaining, values), best
 
 
 def _check_finite(values: np.ndarray, agent: int) -> None:
@@ -255,17 +254,6 @@ class PlanStep(NamedTuple):
     memo: bool
 
 
-class StepMemo:
-    """A plan step's f and b as of its EliminationPlan's last run, which
-    owns it. A run writes changed rows into b in place but replaces f by
-    a copy, so an f once returned never changes."""
-
-    __slots__ = ("f", "b")
-
-    def __init__(self):
-        self.f = self.b = None
-
-
 def _dirty_rows(layout: Layout, changes) -> np.ndarray:
     """Flat indices of the joint rows that the gathered tables' changed
     entries (flat indices, one sequence per table) reach."""
@@ -277,29 +265,29 @@ def _dirty_rows(layout: Layout, changes) -> np.ndarray:
     return np.flatnonzero(dirty)
 
 
-def _run_step(step: PlanStep, memo: StepMemo, functions, changes):
-    """Run one step, continuing from its memo where that pays, and update
-    the memo; returns the step's f and the flat indices of the entries of
-    f that changed since the plan's last complete run (None: not known).
+def _run_step(step: PlanStep, f: FunctionTable, b: np.ndarray, functions, changes):
+    """Run one step from its last f and b, where that pays; returns its
+    new f and b and the flat indices of the entries of f that changed
+    since the plan's last complete run (None: not known).
 
     `changes` holds, per gathered table, the entries changed since that
     run, or None when not known. A step with no changed input returns its
-    memo. A memoized step with every input known and at most
+    last f and b. A memoized step with every input known and at most
     MEMO_MAX_DIRTY_SHARE of its joint rows dirty recomputes just those.
     Each sums the same tables in the same order from +0.0 as the full
     kernel, so f and b there equal its bits and action indices; other
-    rows keep the memo's. They go into the memo's b in place once they
-    pass the finite check (only the plan reads b), and into a copy of f,
-    which callers hold. Every other run takes eliminate_agent in full; an
-    f with a scope, which a later step gathers, is compared with the
-    memo's when every input is known (f never holds -0.0, see
-    _aligned_sum, so equal values are equal bits).
+    rows keep the last ones. They go into b in place once they pass the
+    finite check (only the plan reads b), and into a copy of f, which
+    callers hold: an f once returned never changes. Every other run takes
+    eliminate_agent in full; an f with a scope, which a later step
+    gathers, is compared with the last one when every input is known (f
+    never holds -0.0, see _aligned_sum, so equal values are equal bits).
     """
     layout = step.layout
     sizes = [len(entries) for entries in changes if entries is not None]
     known = len(sizes) == len(changes)
     if known and not any(sizes):
-        return memo.f, ()
+        return f, b, ()
     rows = _dirty_rows(layout, changes) if known and step.memo else None
     if rows is not None and rows.size <= MEMO_MAX_DIRTY_SHARE * layout.rows.size:
         idx = np.unravel_index(rows, layout.joint_shape[:-1])
@@ -311,20 +299,18 @@ def _run_step(step: PlanStep, memo: StepMemo, functions, changes):
         best = total.argmax(axis=-1)
         values = total[np.arange(rows.size), best]
         _check_finite(values, step.agent)
-        b = memo.b
-        np.put(b.values, rows, best)
-        moved = values != memo.f.values.take(rows)
+        np.put(b, rows, best)
+        moved = values != f.values.take(rows)
         changed = rows[moved]
-        f = memo.f
         if changed.size:
-            f = memo.f.values.copy()
-            np.put(f, changed, values[moved])
-            f = FunctionTable._trusted(layout.remaining, f)
+            new = f.values.copy()
+            np.put(new, changed, values[moved])
+            f = FunctionTable._trusted(layout.remaining, new)
     else:
+        last = f
         f, b = eliminate_agent(functions, step.agent, layout=layout)
-        changed = (f.values != memo.f.values).ravel().nonzero()[0] if known and layout.remaining else None
-    memo.f, memo.b = f, b
-    return f, changed
+        changed = (f.values != last.values).ravel().nonzero()[0] if known and layout.remaining else None
+    return f, b, changed
 
 
 class EliminationPlan:
@@ -340,16 +326,19 @@ class EliminationPlan:
     tables' scopes and shapes and the order, and are worked out once.
 
     Each input table's array must stay the same object and change only in
-    place. With trackers, one per table, each write goes through a writer
+    place. The plan holds each step's last f as its birth, in `_born`,
+    and its last b, an index array, in `_best`; a run replaces both only
+    when the step returns, so a step that raises leaves them as they
+    were. With trackers, one per table, each write goes through a writer
     that logs it: trackers[i], for input i, has a `version` and
     changes_since(version) (LocalQ does). The plan then keeps `_seen`, its
-    trackers' versions when its last complete run began, and each step's
-    StepMemo. A run when no version moved returns the last result; any
-    other run reads each tracker's changes since `_seen` once and hands
-    every step the changes of the tables it gathers (see _run_step). The
-    result equals a fresh plan's bit for bit. A run clears `_seen` on
-    entry and sets it only once it succeeded, so the run after one that
-    raised is a full one. Without trackers every run is a full one.
+    trackers' versions when its last complete run began. A run when no
+    version moved returns the last result; any other run reads each
+    tracker's changes since `_seen` once and hands every step the changes
+    of the tables it gathers (see _run_step). The result equals a fresh
+    plan's bit for bit. A run clears `_seen` on entry and sets it only
+    once it succeeded, so the run after one that raised is a full one.
+    Without trackers every run is a full one.
     """
 
     def __init__(self, tables, order, trackers=None):
@@ -387,10 +376,10 @@ class EliminationPlan:
         self.order = order
         self.steps = tuple(steps)
         self.finished = tuple(finished)
-        self.memos = tuple(StepMemo() for _ in self.steps)
         self._trackers = trackers
         self._seen = self._last = None
         self._born = list(self.tables) + [None] * len(self.steps)
+        self._best = [None] * len(self.steps)
 
     def run(self) -> tuple[dict[int, int], float, list[FunctionTable]]:
         """Maximize the sum of the tables' current values.
@@ -408,13 +397,13 @@ class EliminationPlan:
         if now is not None and now == self._seen:
             return self._last
         seen, self._seen = self._seen, None
-        born, n = self._born, len(self.tables)
+        born, best, n = self._born, self._best, len(self.tables)
         changes = [None] * len(born)
         if seen is not None:
             changes[:n] = [t.changes_since(v) for t, v in zip(self._trackers, seen)]
-        for k, (step, memo) in enumerate(zip(self.steps, self.memos), n):
-            born[k], changes[k] = _run_step(
-                step, memo, [born[i] for i in step.gather], [changes[i] for i in step.gather]
+        for k, step in enumerate(self.steps):
+            born[n + k], best[k], changes[n + k] = _run_step(
+                step, born[n + k], best[k], [born[i] for i in step.gather], [changes[i] for i in step.gather]
             )
         value = 0.0
         for i in self.finished:
@@ -422,8 +411,8 @@ class EliminationPlan:
         if not math.isfinite(value):
             raise ValueError("the components' values sum to a non-finite value (overflow)")
         assignment: dict[int, int] = {}
-        for step, memo in zip(reversed(self.steps), reversed(self.memos)):
-            assignment[step.agent] = int(memo.b.values[tuple([assignment[a] for a in step.layout.remaining])])
+        for step, b in zip(reversed(self.steps), reversed(best)):
+            assignment[step.agent] = int(b[tuple([assignment[a] for a in step.layout.remaining])])
         self._seen, self._last = now, (assignment, value, born[n:])
         return self._last
 

@@ -24,8 +24,9 @@ plan's one run computes every message's content, so the backhaul only
 counts and logs what is sent; it does not deliver. The tables are written only
 through LocalQ, which logs each write, so a plan run when no table was
 written returns the last run's result, an elimination step whose tables
-were not written since the last complete run returns its result from
-that run, and a large one recomputes only the joint rows that the
+were not written since the last complete run returns its f and b from
+that run, which the plan holds (f among its tables' births, b as an
+index array), and a large one recomputes only the joint rows that the
 written entries reach.
 
 Everything is deterministic under a fixed seed, regardless of scheduling.

@@ -383,6 +383,27 @@ class TestCommandLine:
         assert "[experiment] seed must be a non-negative integer, got -1" in capsys.readouterr().out
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("command, out", [
+        ("run", "taken"), ("sweep", "taken"), ("surface", os.path.join("taken", "x.csv")),
+    ])
+    def test_unusable_out_path_fails_before_training(self, small_config, tmp_path, capsys, monkeypatch, command, out):
+        # "taken" is a regular file, so no output directory can be made there.
+        monkeypatch.setattr(cli.runtime, "train", lambda *a, **kw: pytest.fail("trained"))
+        monkeypatch.setenv("COOPA_THREADS", "1")  # a sweep trains in this process
+        (tmp_path / "taken").write_text("kept")
+        rc = cli.main([command, "--config", str(small_config), "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith("error: ")
+        assert (tmp_path / "taken").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "surface"])
+    def test_config_directory_reports_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli.runtime, "train", lambda *a, **kw: pytest.fail("trained"))
+        rc = cli.main([command, "--config", str(tmp_path), "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_value_reports_error(self, tmp_path, capsys):
         config = tmp_path / "exp.ini"
         config.write_text("[network]\nbeta = 2.0\n")

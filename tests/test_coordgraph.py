@@ -89,25 +89,24 @@ class TestEliminateAgent:
 
         f, b = first_step([q2, q4], (4, 2, 3))
         assert f.scope == (2, 3)
-        assert b.scope == (2, 3)
         assert np.array_equal(f.values, expected_f)
-        assert np.array_equal(b.values, expected_b)
+        assert np.array_equal(b, expected_b)
         # frozen values, including the two tie-breaks to index 0
         assert f.values.tolist() == [[1.0, 3.0], [3.0, 2.0]]
-        assert b.values.tolist() == [[0, 0], [1, 0]]
+        assert b.tolist() == [[0, 0], [1, 0]]
 
     def test_single_function_single_agent(self):
         fn = FunctionTable((7,), np.array([1.5, 4.0, -2.0]))
         f, b = first_step([fn], (7,))
         assert f.scope == ()
         assert float(f.values) == 4.0
-        assert int(b.values) == 1
+        assert int(b) == 1
 
     def test_all_equal_ties_to_zero(self):
         fn = FunctionTable((1, 2), np.full((3, 4), 2.5))
         f, b = first_step([fn], (2, 1))
         assert np.all(f.values == 2.5)
-        assert np.all(b.values == 0)
+        assert np.all(b == 0)
 
     def test_induced_scope_guard(self):
         # eliminating a star's center leaves a table over all its leaves
@@ -368,10 +367,10 @@ class TestProperties:
             remaining = tuple(sorted({a for fn in involved for a in fn.scope} - {agent}))
             joint = reference_sum(involved, remaining + (agent,))
             best = joint.max(axis=-1)
-            assert f.scope == b.scope == remaining
+            assert f.scope == remaining
             assert same_bits(f.values, best)
-            # lowest index among the maxima
-            assert same_bits(b.values, (joint == best[..., None]).argmax(axis=-1))
+            # lowest index among the maxima, one axis per remaining agent
+            assert same_bits(b, (joint == best[..., None]).argmax(axis=-1))
             live = [i for i in live if i not in step.gather] + ([len(born)] if f.scope else [])
             born.append(f)
 
@@ -555,6 +554,12 @@ def plan_of(agents, order):
     return tables, EliminationPlan(tables, order)
 
 
+def last_results(plan):
+    """Each step's f and b as of the plan's last run, where the plan keeps
+    them: f among its tables' births, b in its list of index arrays."""
+    return list(zip(plan._born[len(plan.tables):], plan._best))
+
+
 MEMO_CASES = settings(
     derandomize=True, database=None, max_examples=60, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -589,10 +594,10 @@ class TestMemo:
             assert action == expected_action
             assert same_bits(value, expected_value)
             born = tables + conditionals
-            for k, (step, memo) in enumerate(zip(plan.steps, plan.memos)):
-                _, b = eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)
-                assert same_bits(memo.f.values, conditionals[k].values)
-                assert np.array_equal(memo.b.values, b.values)
+            for step, (f, b), expected in zip(plan.steps, last_results(plan), conditionals):
+                _, want = eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)
+                assert same_bits(f.values, expected.values)
+                assert np.array_equal(b, want)
             # The same traffic as agents that remember nothing.
             assert log == logged_ve(recording(agents_holding(tables), order))[2]
 
@@ -641,7 +646,7 @@ class TestMemo:
                 full.clear()
                 action, value = ve_via_messages(bound[order])
                 if again:
-                    # Nothing written since: every step returns its memo.
+                    # Nothing written since: every step returns its last f and b.
                     assert full == []
                 elif visit < 2:
                     # A coordination's first run starts from scratch.
@@ -663,18 +668,44 @@ class TestMemo:
         coordination = Coordination(agents, order)
         plan = coordination.plan
         ve_via_messages(coordination)
-        kept = [memo.b for memo in plan.memos]
-        first = kept[0].values.copy()
+        kept = list(plan._best)
+        first = kept[0].copy()
         # Gathered by step 0 (eliminating agent 0): 16 of its 256 rows dirty.
         agents[1].local_q.write((0, 1, 2), 7.0)
         ve_via_messages(coordination)
-        assert not np.array_equal(plan.memos[0].b.values, first)
+        assert not np.array_equal(plan._best[0], first)
         _, fresh = plan_of(agents, order)
         fresh.run()
-        for step, memo, b, expected in zip(plan.steps, plan.memos, kept, fresh.memos):
+        for step, b, held, expected in zip(plan.steps, plan._best, kept, fresh._best):
             if step.memo:
-                assert memo.b is b
-            assert same_bits(memo.b.values, expected.b.values)
+                assert b is held
+            assert same_bits(b, expected)
+
+    def test_a_returned_f_never_changes(self, monkeypatch):
+        # Callers hold the conditionals a run returns: a later run that
+        # moves a step's f through the row path replaces it with a new
+        # table and leaves the returned one as it was.
+        monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+        full = []  # agents whose step ran the full kernel
+        kernel = coordgraph.eliminate_agent
+        monkeypatch.setattr(
+            coordgraph, "eliminate_agent", lambda fns, agent, **kw: full.append(agent) or kernel(fns, agent, **kw)
+        )
+        agents = ring_agents(5, 4, np.random.default_rng(6))
+        plan = Coordination(agents, (0, 1, 2, 3, 4)).plan
+        assert plan.steps[0].memo
+        held = plan.run()[2]
+        copies = [f.values.copy() for f in held]
+        # Gathered by step 0 (eliminating agent 0): some of its rows move.
+        agents[1].local_q.write((0, 1, 2), 7.0)
+        full.clear()
+        new = plan.run()[2]
+        assert 0 not in full
+        assert new[0] is not held[0]
+        assert not same_bits(new[0].values, copies[0])
+        for f, values in zip(held, copies):
+            assert same_bits(f.values, values)
 
     def test_a_step_that_raised_raises_again(self, every_step_memoized):
         rng = np.random.default_rng(3)
@@ -698,7 +729,7 @@ class TestMemo:
 
     def test_a_run_that_raised_leaves_no_stale_memo(self, every_step_memoized):
         # Step 0 (eliminating agent 0) succeeds on a new entry of agent 1's
-        # table and updates its memo; step 1 (eliminating agent 1) then
+        # table and replaces its f; step 1 (eliminating agent 1) then
         # raises on agent 2's table, which only it gathers.
         rng = np.random.default_rng(4)
         agents = ring_agents(4, 5, rng)
@@ -707,21 +738,21 @@ class TestMemo:
         tables, plan = plan_of(agents, order)
         assert plan.steps[1].memo and 2 in plan.steps[1].gather
         ve_via_messages(coordination)
-        memo = coordination.plan.memos[1]
-        f, b = memo.f, memo.b
+        f, b = last_results(coordination.plan)[1]
         agents[1].local_q.write((0, 1, 2), 7.0)
         kept = agents[2].local_q.values[1, 1, 1]
         agents[2].local_q.write((1, 1, 1), np.inf)
         with pytest.raises(ValueError, match="eliminating agent 1"):
             ve_via_messages(coordination)
-        assert memo.f is f and memo.b is b
+        held_f, held_b = last_results(coordination.plan)[1]
+        assert held_f is f and held_b is b
         agents[2].local_q.write((1, 1, 1), kept)
         action, value = ve_via_messages(coordination)
         expected_action, expected_value, conditionals = plan.run()
         assert action == expected_action
         assert same_bits(value, expected_value)
-        for memo, f in zip(coordination.plan.memos, conditionals):
-            assert same_bits(memo.f.values, f.values)
+        for (f, _), expected in zip(last_results(coordination.plan), conditionals):
+            assert same_bits(f.values, expected.values)
 
     def test_a_step_that_raised_left_its_b_as_it_was(self, monkeypatch):
         monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
@@ -730,14 +761,13 @@ class TestMemo:
         agents = ring_agents(4, 5, rng)
         coordination = Coordination(agents, (0, 1, 2, 3))
         ve_via_messages(coordination)
-        memo = coordination.plan.memos[0]
-        b = memo.b.values.copy()
+        b = coordination.plan._best[0].copy()
         # Gathered by step 0 (eliminating agent 0): the best response in
         # its rows (a1, a2) = (2, 1) would become action 4.
         agents[1].local_q.write((4, 2, 1), np.inf)
         with pytest.raises(ValueError, match="eliminating agent 0"):
             ve_via_messages(coordination)
-        assert same_bits(memo.b.values, b)
+        assert same_bits(coordination.plan._best[0], b)
 
     def test_a_step_two_versions_behind_learns_both_changes(self, monkeypatch):
         # Step 2 gathers step 0's f. Step 1 raises once in between, so
@@ -764,8 +794,8 @@ class TestMemo:
         expected_action, expected_value, conditionals = fresh.run()
         assert action == expected_action
         assert same_bits(value, expected_value)
-        for memo, f in zip(coordination.plan.memos, conditionals):
-            assert same_bits(memo.f.values, f.values)
+        for (f, _), expected in zip(last_results(coordination.plan), conditionals):
+            assert same_bits(f.values, expected.values)
 
     def test_a_log_cut_back_since_the_last_run_counts_as_unknown(self, every_step_memoized):
         # Three times agent 1's table written between two runs: its log no
@@ -785,8 +815,8 @@ class TestMemo:
         expected_action, expected_value, conditionals = fresh.run()
         assert action == expected_action
         assert same_bits(value, expected_value)
-        for memo, f in zip(coordination.plan.memos, conditionals):
-            assert same_bits(memo.f.values, f.values)
+        for (f, _), expected in zip(last_results(coordination.plan), conditionals):
+            assert same_bits(f.values, expected.values)
 
 
 ORDERS = ((0, 1, 2, 3, 4), (2, 3, 4, 0, 1))
@@ -800,7 +830,7 @@ class TrackedPlanMachine(RuleBasedStateMachine):
     (so its log is cut back) and non-finite plants come between runs;
     every run must equal a fresh untracked plan and a fresh Coordination
     bit for bit. A plant that raises past step 0 does so in a run that
-    has already moved the memos of the steps before."""
+    has already replaced the f and b of the steps before."""
 
     def __init__(self):
         super().__init__()
@@ -840,9 +870,9 @@ class TrackedPlanMachine(RuleBasedStateMachine):
         assert same_bits(value, expected_value)
         conditionals = coordination.plan.run()[2]
         assert all(same_bits(f.values, g.values) for f, g in zip(conditionals, expected))
-        for memo, want in zip(coordination.plan.memos, fresh.memos):
-            assert same_bits(memo.f.values, want.f.values)
-            assert same_bits(memo.b.values, want.b.values)
+        for (f, b), (want_f, want_b) in zip(last_results(coordination.plan), last_results(fresh)):
+            assert same_bits(f.values, want_f.values)
+            assert same_bits(b, want_b)
         assert log == logged_ve(recording(self.agents, order))[2]
 
     @rule(which=st.integers(0, len(ORDERS) - 1), bad=st.sampled_from([np.nan, np.inf]), retry=st.booleans(),
