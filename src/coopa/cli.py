@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import errno
 import os
 from dataclasses import dataclass, replace
 
@@ -290,21 +291,28 @@ def sweep_workers(n_points: int) -> int:
     return workers
 
 
+def _output_file(path) -> str:
+    """Make the directory of the output file `path` and reject a `path`
+    that names a directory, so that an unusable path fails before any
+    training. Returns path."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return path
+
+
 def run_sweep(config: ExperimentConfig, path=None) -> str:
     """Train at every beta and write one comparison row per value.
 
     Rows are ordered by beta regardless of completion order; points train
     on derived per-beta seeds, so output is deterministic for a given
-    config and seed. The CSV's directory is made before any point
-    trains, so a path that cannot hold it fails first. Returns the CSV
-    path.
+    config and seed. The CSV path is checked (_output_file) before any
+    point trains. Returns the CSV path.
     """
     if len(config.gains) != 2:
         raise ConfigValueError("sweep compares against the two-user closed form")
     betas = sorted(config.betas)
-    if path is None:
-        path = os.path.join(config.out_dir, "sweep.csv")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    path = _output_file(os.path.join(config.out_dir, "sweep.csv") if path is None else path)
     tasks = [(config, beta, k) for k, beta in enumerate(betas)]
     workers = sweep_workers(len(tasks))
     if workers > 1:
@@ -333,8 +341,7 @@ def export_q_surface(agents, path) -> str:
     if len(agents) != 2:
         raise ValueError(f"Q-surface is defined for 2 agents, got {len(agents)}")
     first, second = agents
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(_output_file(path), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["p1_mw", "p2_mw", "global_q"])
         for i in range(first.n_actions):
@@ -372,9 +379,8 @@ def _learned_powers(net: radio.NetworkConfig, agents) -> np.ndarray:
 
 def _cmd_run(args) -> int:
     config = _load_with_overrides(args)
-    os.makedirs(config.out_dir, exist_ok=True)
+    trace_path = _output_file(os.path.join(config.out_dir, "trace.csv"))
     net, agents, traces = _train_from_config(config)
-    trace_path = os.path.join(config.out_dir, "trace.csv")
     runtime.write_trace_csv(traces, trace_path)
     print(f"wrote {trace_path}")
 
@@ -398,7 +404,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_surface(args) -> int:
     config = _load_with_overrides(args)
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    _output_file(args.out)
     _, agents, _ = _train_from_config(config)
     path = export_q_surface(agents, args.out)
     print(f"wrote {path}")

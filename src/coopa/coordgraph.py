@@ -22,8 +22,11 @@ where its last complete run began; every plan holds each step's last f
 among its tables' births and its last b in a list of index arrays. A
 run when nothing was written returns the last result, a step none of
 whose tables changed since returns its last f and b, and a large one
-recomputes just the joint rows that the written entries, or the changed
-entries of earlier steps, reach.
+recomputes just the values of the joint rows that the written entries,
+or the changed entries of earlier steps, reach. It reads those rows
+through flat offsets into its tables that the plan works out once, and
+sets their entries of b to -1: recovery reads one row of each b and
+recomputes the best response there only when it holds -1.
 Tables the kernel derives skip FunctionTable's validation; each
 conditional-value table is checked to be finite, which catches a sum
 that overflows and a non-finite input that reaches a row's maximum, and
@@ -67,8 +70,9 @@ MAX_BRUTE_FORCE = 10**7
 # 21-level train 45% slower, while ring6's 11^5 and 11^4 steps gain.
 MEMO_MIN_ENTRIES = 4096
 
-# A memoized step runs in full when a larger share of its joint rows is
-# dirty; any value from 0.25 to 0.6 gave ring6 the same time per episode.
+# A memoized step runs in full when its changed entries may reach a larger
+# share of its joint rows; any value from 0.25 to 0.6 gave ring6 the same
+# time per episode when the share counted the rows they did reach.
 MEMO_MAX_DIRTY_SHARE = 0.5
 
 
@@ -177,21 +181,71 @@ def _aligned_sum(functions, views, joint_shape: tuple[int, ...]) -> np.ndarray:
     return total
 
 
+class Gather(NamedTuple):
+    """Where a memoized step's row path and recovery read one gathered
+    table, by flat (C-order) offset, and which joint rows its entries
+    reach.
+
+    Every gathered table mentions the eliminated agent, whose n actions
+    index the first axis of values.transpose(perm).reshape(n, -1), a view
+    unless the agent's axis is neither the table's first nor its last.
+    columns, shaped like the step's remaining axes, holds each joint row's
+    offset along the second axis, so joint row r is column
+    columns.take(r). entry_rows holds, for each table entry, the flat
+    index of the first joint row it reaches, and spread the offsets from
+    there of all the rows it reaches: those of the remaining agents that
+    the table does not mention.
+    """
+
+    perm: tuple[int, ...]
+    columns: np.ndarray
+    entry_rows: np.ndarray
+    spread: np.ndarray
+
+
 class Layout(NamedTuple):
     """How one elimination lines its tables up in its joint table.
 
     The joint table has axes remaining + (agent,) and shape joint_shape;
-    views holds one (perm, shape) per summed table (see _views), and rows
-    the flat index of each joint row's first entry. marks holds, per
-    summed table, its shape and, for each remaining agent, that agent's
-    axis in the table or None: which joint rows an entry reaches.
+    views holds one (perm, shape) per summed table (see _views), and rows,
+    shaped like the remaining axes, the flat index of each joint row's
+    first entry. gathers holds one Gather per summed table when the step
+    is memoized (see PlanStep), else None.
     """
 
     remaining: tuple[int, ...]
     views: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     joint_shape: tuple[int, ...]
     rows: np.ndarray
-    marks: tuple[tuple[tuple[int, ...], tuple[int | None, ...]], ...]
+    gathers: tuple[Gather, ...] | None
+
+
+def _flat_offsets(agents, sizes: dict[int, int], strides: dict[int, int]) -> np.ndarray:
+    """For each joint action of `agents`, the sum of each agent's action
+    times its stride in `strides` (0 when it has none): an int32 array
+    with one axis per agent."""
+    index = np.indices([sizes[a] for a in agents], dtype=np.int32)
+    return np.tensordot(np.array([strides.get(a, 0) for a in agents], dtype=np.int32), index, axes=1)
+
+
+def _c_strides(agents, sizes: dict[int, int]) -> dict[int, int]:
+    """Each agent's stride, in entries, in a C-order array over `agents`."""
+    strides, step = {}, 1
+    for a in reversed(agents):
+        strides[a] = step
+        step *= sizes[a]
+    return strides
+
+
+def _gather(scope, sizes: dict[int, int], remaining, agent: int) -> Gather:
+    k = scope.index(agent)
+    row = _c_strides(remaining, sizes)
+    return Gather(
+        (k, *range(k), *range(k + 1, len(scope))),
+        _flat_offsets(remaining, sizes, _c_strides(scope[:k] + scope[k + 1:], sizes)),
+        _flat_offsets(scope, sizes, row).ravel(),
+        _flat_offsets([a for a in remaining if a not in scope], sizes, row).ravel(),
+    )
 
 
 def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
@@ -204,13 +258,12 @@ def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
         )
     joint = (*remaining, agent)
     joint_shape = tuple(sizes[a] for a in joint)
-    rows = np.arange(0, math.prod(joint_shape), joint_shape[-1])
+    rows = np.arange(0, math.prod(joint_shape), joint_shape[-1]).reshape(joint_shape[:-1])
     rows.flags.writeable = False  # shared by every run of the plan
-    marks = tuple(
-        (tuple(sizes[a] for a in scope), tuple(scope.index(a) if a in scope else None for a in remaining))
-        for scope in scopes
-    )
-    return Layout(tuple(remaining), _views(scopes, joint, sizes), joint_shape, rows, marks)
+    gathers = None
+    if remaining and math.prod(joint_shape) >= MEMO_MIN_ENTRIES:
+        gathers = tuple(_gather(scope, sizes, remaining, agent) for scope in scopes)
+    return Layout(tuple(remaining), _views(scopes, joint, sizes), joint_shape, rows, gathers)
 
 
 def eliminate_agent(functions, agent: int, *, layout: Layout) -> tuple[FunctionTable, np.ndarray]:
@@ -224,20 +277,45 @@ def eliminate_agent(functions, agent: int, *, layout: Layout) -> tuple[FunctionT
     index on ties).
     """
     joint = _aligned_sum(functions, layout.views, layout.joint_shape)
-    best = np.asarray(joint.argmax(axis=-1))
+    best = joint.argmax(axis=-1)
     # One reduction: read each row's maximum back at its argmax, by flat
     # index into the (contiguous) joint table.
-    values = joint.take(layout.rows + best.ravel()).reshape(best.shape)
+    values = joint.take(layout.rows + best)
     _check_finite(values, agent)
     return FunctionTable._trusted(layout.remaining, values), best
 
 
 def _check_finite(values: np.ndarray, agent: int) -> None:
-    if not np.isfinite(values).all():
+    # A finite sum has finite terms; only a sum that is not (a non-finite
+    # entry, or finite ones that overflow it, which numpy warns of) needs
+    # the scan.
+    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
         raise ValueError(
             f"eliminating agent {agent}: conditional values are not finite "
             "(non-finite input or overflow)"
         )
+
+
+def _row_sums(layout: Layout, functions, rows) -> np.ndarray:
+    """The joint table's rows `rows` (flat indices) as an (n, len(rows))
+    block, the eliminated agent's axis first: every gathered table read
+    through its Gather and added, in gather order, into +0.0, the sums
+    the full kernel makes (see _aligned_sum)."""
+    n = layout.joint_shape[-1]
+    total = np.zeros((n, len(rows)))
+    for fn, gather in zip(functions, layout.gathers):
+        block = fn.values.transpose(gather.perm).reshape(n, -1).take(gather.columns.take(rows), axis=1)
+        np.add(total, block, out=total)
+    return total
+
+
+def _best_response(layout: Layout, functions, at: tuple[int, ...]) -> int:
+    """The eliminated agent's best response in the joint row of the
+    remaining agents' actions `at` (lowest index on ties): what
+    eliminate_agent's best holds there, for a row that a memoized step's
+    row path left at -1."""
+    row = layout.rows[at] // layout.joint_shape[-1]
+    return int(_row_sums(layout, functions, [row]).argmax())
 
 
 class PlanStep(NamedTuple):
@@ -245,7 +323,8 @@ class PlanStep(NamedTuple):
 
     gather holds the births of the tables it sums, ascending. memo says
     whether a tracked plan recomputes just this step's dirty rows: its
-    result has a scope and its joint table MEMO_MIN_ENTRIES entries.
+    result has a scope and its joint table MEMO_MIN_ENTRIES entries, and
+    its layout has the gathers that the row path reads.
     """
 
     agent: int
@@ -257,11 +336,10 @@ class PlanStep(NamedTuple):
 def _dirty_rows(layout: Layout, changes) -> np.ndarray:
     """Flat indices of the joint rows that the gathered tables' changed
     entries (flat indices, one sequence per table) reach."""
-    dirty = np.zeros(layout.joint_shape[:-1], dtype=bool)
-    for entries, (shape, axes) in zip(changes, layout.marks):
+    dirty = np.zeros(layout.rows.size, dtype=bool)
+    for entries, gather in zip(changes, layout.gathers):
         if len(entries):
-            at = np.unravel_index(entries, shape)
-            dirty[tuple(slice(None) if k is None else at[k] for k in axes)] = True
+            dirty[gather.entry_rows.take(entries)[:, None] + gather.spread] = True
     return np.flatnonzero(dirty)
 
 
@@ -272,34 +350,35 @@ def _run_step(step: PlanStep, f: FunctionTable, b: np.ndarray, functions, change
 
     `changes` holds, per gathered table, the entries changed since that
     run, or None when not known. A step with no changed input returns its
-    last f and b. A memoized step with every input known and at most
-    MEMO_MAX_DIRTY_SHARE of its joint rows dirty recomputes just those.
-    Each sums the same tables in the same order from +0.0 as the full
-    kernel, so f and b there equal its bits and action indices; other
-    rows keep the last ones. They go into b in place once they pass the
-    finite check (only the plan reads b), and into a copy of f, which
-    callers hold: an f once returned never changes. Every other run takes
+    last f and b. A memoized step with every input known takes the row
+    path when the changed entries times the rows each one reaches is at
+    most MEMO_MAX_DIRTY_SHARE of its joint rows: it sums just the rows
+    they reach (_row_sums: the same tables in the same order from +0.0 as
+    the full kernel) and takes each one's maximum, which equals the
+    kernel's bits (no entry is -0.0, see _aligned_sum, and a NaN or inf
+    fails the finite check either way). Once they pass that check, those
+    rows of b are set to -1 in place (only the plan reads b, and its
+    recovery recomputes a -1 row's best response, _best_response), and
+    their values go into a copy of f, which callers hold: an f once
+    returned never changes. Other rows keep their last values, so every
+    entry of b is the kernel's best response or -1. Every other run takes
     eliminate_agent in full; an f with a scope, which a later step
     gathers, is compared with the last one when every input is known (f
-    never holds -0.0, see _aligned_sum, so equal values are equal bits).
+    never holds -0.0, so equal values are equal bits).
     """
     layout = step.layout
     sizes = [len(entries) for entries in changes if entries is not None]
     known = len(sizes) == len(changes)
     if known and not any(sizes):
         return f, b, ()
-    rows = _dirty_rows(layout, changes) if known and step.memo else None
-    if rows is not None and rows.size <= MEMO_MAX_DIRTY_SHARE * layout.rows.size:
-        idx = np.unravel_index(rows, layout.joint_shape[:-1])
-        total = np.zeros((rows.size, layout.joint_shape[-1]))
-        for fn, (perm, shape) in zip(functions, layout.views):
-            view = fn.values.transpose(perm).reshape(shape)
-            # Unit axes of the view (agents the table does not mention) take index 0.
-            np.add(total, view[tuple(i if n != 1 else 0 for i, n in zip(idx, shape))], out=total)
-        best = total.argmax(axis=-1)
-        values = total[np.arange(rows.size), best]
+    # Each changed entry reaches spread.size rows: a bound on the dirty rows.
+    if known and step.memo and (
+        sum([n * g.spread.size for n, g in zip(sizes, layout.gathers)]) <= MEMO_MAX_DIRTY_SHARE * layout.rows.size
+    ):
+        rows = _dirty_rows(layout, changes)
+        values = _row_sums(layout, functions, rows).max(axis=0)
         _check_finite(values, step.agent)
-        np.put(b, rows, best)
+        np.put(b, rows, -1)
         moved = values != f.values.take(rows)
         changed = rows[moved]
         if changed.size:
@@ -329,7 +408,9 @@ class EliminationPlan:
     place. The plan holds each step's last f as its birth, in `_born`,
     and its last b, an index array, in `_best`; a run replaces both only
     when the step returns, so a step that raises leaves them as they
-    were. With trackers, one per table, each write goes through a writer
+    were. Each entry of b is the step's best response in that joint row,
+    or -1 where a memoized step's row path left it for recovery to
+    recompute from the step's current tables (_best_response). With trackers, one per table, each write goes through a writer
     that logs it: trackers[i], for input i, has a `version` and
     changes_since(version) (LocalQ does). The plan then keeps `_seen`, its
     trackers' versions when its last complete run began. A run when no
@@ -370,8 +451,7 @@ class EliminationPlan:
                 live.append((birth, layout.remaining))
             else:
                 finished.append(birth)
-            memo = bool(layout.remaining) and math.prod(layout.joint_shape) >= MEMO_MIN_ENTRIES
-            steps.append(PlanStep(agent, tuple(k for k, _ in gather), layout, memo))
+            steps.append(PlanStep(agent, tuple(k for k, _ in gather), layout, layout.gathers is not None))
 
         self.order = order
         self.steps = tuple(steps)
@@ -412,7 +492,11 @@ class EliminationPlan:
             raise ValueError("the components' values sum to a non-finite value (overflow)")
         assignment: dict[int, int] = {}
         for step, b in zip(reversed(self.steps), reversed(best)):
-            assignment[step.agent] = int(b[tuple([assignment[a] for a in step.layout.remaining])])
+            at = tuple([assignment[a] for a in step.layout.remaining])
+            action = int(b[at])
+            if action < 0:
+                action = _best_response(step.layout, [born[i] for i in step.gather], at)
+            assignment[step.agent] = action
         self._seen, self._last = now, (assignment, value, born[n:])
         return self._last
 

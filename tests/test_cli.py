@@ -385,16 +385,22 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("command, out", [
         ("run", "taken"), ("sweep", "taken"), ("surface", os.path.join("taken", "x.csv")),
+        ("run", "dir"), ("sweep", "dir"), ("surface", "dir"),
     ])
     def test_unusable_out_path_fails_before_training(self, small_config, tmp_path, capsys, monkeypatch, command, out):
-        # "taken" is a regular file, so no output directory can be made there.
+        # "taken" is a regular file, so no output directory can be made
+        # there; "dir" is a directory, and so are its trace.csv and
+        # sweep.csv, so no command can write its output file there.
         monkeypatch.setattr(cli.runtime, "train", lambda *a, **kw: pytest.fail("trained"))
         monkeypatch.setenv("COOPA_THREADS", "1")  # a sweep trains in this process
         (tmp_path / "taken").write_text("kept")
+        for name in ("trace.csv", "sweep.csv"):
+            (tmp_path / "dir" / name).mkdir(parents=True)
         rc = cli.main([command, "--config", str(small_config), "--out", str(tmp_path / out)])
         assert rc == 2
         assert capsys.readouterr().out.startswith("error: ")
         assert (tmp_path / "taken").read_text() == "kept"
+        assert sorted(p.name for p in (tmp_path / "dir").iterdir()) == ["sweep.csv", "trace.csv"]
 
     @pytest.mark.parametrize("command", ["run", "sweep", "surface"])
     def test_config_directory_reports_error(self, tmp_path, capsys, monkeypatch, command):

@@ -1,6 +1,7 @@
 """Variable elimination tests, all checked against exhaustive enumeration."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -536,11 +537,12 @@ def every_step_memoized(request, monkeypatch):
     """Plans compiled meanwhile memoize every step whose result has a scope.
 
     With "rows", such a step recomputes its dirty rows however many there
-    are; with "rows or full", too many dirty rows take the full kernel.
+    are; with "rows or full", a step whose changes may reach too many rows
+    takes the full kernel.
     """
     monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
     if request.param == "rows":
-        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", math.inf)
 
 
 def ring_agents(n, levels, rng):
@@ -558,6 +560,23 @@ def last_results(plan):
     """Each step's f and b as of the plan's last run, where the plan keeps
     them: f among its tables' births, b in its list of index arrays."""
     return list(zip(plan._born[len(plan.tables):], plan._best))
+
+
+def assert_best_responses(plan, expected):
+    """Each step's b in `plan` holds, in every row, the best response in
+    `expected` (one index array per step, as eliminate_agent returns) or
+    -1, and recovery's recompute of every -1 row from the step's current
+    tables equals it. Only memoized steps hold -1."""
+    for step, b, want in zip(plan.steps, plan._best, expected):
+        if not step.memo:
+            assert same_bits(b, want)
+            continue
+        assert b.dtype == want.dtype and b.shape == want.shape
+        assert np.all((b == want) | (b == -1))
+        functions = [plan._born[i] for i in step.gather]
+        for at in np.argwhere(b == -1):
+            at = tuple(int(i) for i in at)
+            assert coordgraph._best_response(step.layout, functions, at) == want[at]
 
 
 MEMO_CASES = settings(
@@ -594,10 +613,12 @@ class TestMemo:
             assert action == expected_action
             assert same_bits(value, expected_value)
             born = tables + conditionals
-            for step, (f, b), expected in zip(plan.steps, last_results(plan), conditionals):
-                _, want = eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)
+            for (f, _), expected in zip(last_results(plan), conditionals):
                 assert same_bits(f.values, expected.values)
-                assert np.array_equal(b, want)
+            assert_best_responses(plan, [
+                eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)[1]
+                for step in plan.steps
+            ])
             # The same traffic as agents that remember nothing.
             assert log == logged_ve(recording(agents_holding(tables), order))[2]
 
@@ -651,7 +672,7 @@ class TestMemo:
                 elif visit < 2:
                     # A coordination's first run starts from scratch.
                     assert full == [s.agent for s in plan.steps]
-                elif coordgraph.MEMO_MAX_DIRTY_SHARE == 1.0:
+                elif coordgraph.MEMO_MAX_DIRTY_SHARE == math.inf:
                     # The other order's runs read the same logs, and left
                     # this one's memos valid: memoized steps take rows only.
                     assert set(full) <= {s.agent for s in plan.steps if not s.memo}
@@ -661,7 +682,7 @@ class TestMemo:
 
     def test_dirty_rows_are_written_into_the_memos_b(self, monkeypatch):
         monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
-        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", math.inf)
         rng = np.random.default_rng(6)
         agents = ring_agents(5, 4, rng)
         order = (0, 1, 2, 3, 4)
@@ -669,24 +690,67 @@ class TestMemo:
         plan = coordination.plan
         ve_via_messages(coordination)
         kept = list(plan._best)
-        first = kept[0].copy()
-        # Gathered by step 0 (eliminating agent 0): 16 of its 256 rows dirty.
+        assert np.all(kept[0] >= 0)
+        # Gathered by step 0 (eliminating agent 0): 16 of its 256 rows
+        # dirty, whose best responses are left to recovery.
         agents[1].local_q.write((0, 1, 2), 7.0)
         ve_via_messages(coordination)
-        assert not np.array_equal(plan._best[0], first)
+        assert np.count_nonzero(plan._best[0] == -1) == 16
         _, fresh = plan_of(agents, order)
         fresh.run()
-        for step, b, held, expected in zip(plan.steps, plan._best, kept, fresh._best):
+        for step, b, held in zip(plan.steps, plan._best, kept):
             if step.memo:
                 assert b is held
-            assert same_bits(b, expected)
+        assert_best_responses(plan, fresh._best)
+
+    @MEMO_CASES
+    @given(instances())
+    def test_recovery_recomputes_every_row_like_the_kernel(self, monkeypatch, instance):
+        # Every step with a scope memoized: at every joint row, the row
+        # path's sums give the kernel's f bit for bit, and the recompute
+        # that recovery makes of a -1 row gives the kernel's best response.
+        monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+        functions, order, _ = instance
+        plan = EliminationPlan(functions, order)
+        born = list(functions)
+        for step in plan.steps:
+            gathered = [born[i] for i in step.gather]
+            f, want = eliminate_agent(gathered, step.agent, layout=step.layout)
+            born.append(f)
+            assert step.memo == bool(f.scope)
+            if not step.memo:
+                continue
+            every = np.arange(want.size)
+            assert same_bits(coordgraph._row_sums(step.layout, gathered, every).max(axis=0), f.values.ravel())
+            for at in np.ndindex(want.shape):
+                assert coordgraph._best_response(step.layout, gathered, at) == want[at]
+
+    def test_the_recompute_sums_in_gather_order(self, monkeypatch):
+        # Agent 0's action 0 sums to (1 + 1e16) - 1e16 = 0 in gather
+        # order, less than action 1's 0.5; summed the other way round it
+        # would be 1.
+        monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", math.inf)
+        qs = [
+            LocalQ(0, (0, 1), (2, 2), [[first, first], [second, second]])
+            for first, second in ((1.0, 0.5), (1e16, 0.0), (-1e16, 0.0))
+        ]
+        tables = [q.as_function_table(0) for q in qs]
+        plan = EliminationPlan(tables, (0, 1), qs)
+        assert plan.steps[0].memo
+        plan.run()
+        qs[0].write((0, 0), 1.0)  # unchanged, but logged: row a1 = 0 is dirty
+        action, value, _ = plan.run()
+        assert plan._best[0][0] == -1
+        assert action == ve_argmax(tables, (0, 1))[0] == {1: 0, 0: 1}
+        assert value == 0.5
 
     def test_a_returned_f_never_changes(self, monkeypatch):
         # Callers hold the conditionals a run returns: a later run that
         # moves a step's f through the row path replaces it with a new
         # table and leaves the returned one as it was.
         monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
-        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", math.inf)
         full = []  # agents whose step ran the full kernel
         kernel = coordgraph.eliminate_agent
         monkeypatch.setattr(
@@ -756,7 +820,7 @@ class TestMemo:
 
     def test_a_step_that_raised_left_its_b_as_it_was(self, monkeypatch):
         monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
-        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", math.inf)
         rng = np.random.default_rng(3)
         agents = ring_agents(4, 5, rng)
         coordination = Coordination(agents, (0, 1, 2, 3))
@@ -773,7 +837,7 @@ class TestMemo:
         # Step 2 gathers step 0's f. Step 1 raises once in between, so
         # step 2 misses a run and is two versions of that f behind.
         monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
-        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", 1.0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", math.inf)
         rng = np.random.default_rng(5)
         scopes = [(0, 2, 3), (1, 2), (2, 3), (3,)]
         agents = agents_holding([FunctionTable(s, rng.uniform(-1, 1, (3,) * len(s))) for s in scopes])
@@ -870,9 +934,9 @@ class TrackedPlanMachine(RuleBasedStateMachine):
         assert same_bits(value, expected_value)
         conditionals = coordination.plan.run()[2]
         assert all(same_bits(f.values, g.values) for f, g in zip(conditionals, expected))
-        for (f, b), (want_f, want_b) in zip(last_results(coordination.plan), last_results(fresh)):
+        for (f, _), (want_f, _) in zip(last_results(coordination.plan), last_results(fresh)):
             assert same_bits(f.values, want_f.values)
-            assert same_bits(b, want_b)
+        assert_best_responses(coordination.plan, fresh._best)
         assert log == logged_ve(recording(self.agents, order))[2]
 
     @rule(which=st.integers(0, len(ORDERS) - 1), bad=st.sampled_from([np.nan, np.inf]), retry=st.booleans(),
