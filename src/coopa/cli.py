@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle, radio, runtime
-from .coordgraph import CoordinationGraph, default_elimination_order
+from .coordgraph import MAX_TABLE_ENTRIES, CoordinationGraph, default_elimination_order
 from .learner import LearningParams
 
 __all__ = [
@@ -219,6 +219,16 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         )
     if any(not 0 <= b <= 1 for b in config.betas):
         raise ConfigValueError("[experiment] betas must all lie in [0, 1]")
+    # Training builds the agents' Q-tables at beta, or a sweep at each of
+    # betas, of which the largest gives the most interferers.
+    for beta in (config.beta, max(config.betas, default=0.0)):
+        net = config.network(beta)
+        entries = sum(config.n_power ** (1 + len(i)) for i in net.interferers)
+        if entries > MAX_TABLE_ENTRIES:
+            raise ConfigValueError(
+                f"[network] n_power = {config.n_power} over {net.n_agents} cells makes Q-tables "
+                f"of {entries} entries in all at beta {beta} (limit {MAX_TABLE_ENTRIES})"
+            )
     return config
 
 

@@ -19,14 +19,14 @@ table to whom is the message-passing runner's business
 (runtime.Coordination), derived from a plan's order and steps. A plan
 whose tables' writers log what they write (learner.LocalQ) remembers
 where its last complete run began; every plan holds each step's last f
-among its tables' births and its last b in a list of index arrays. A
-run when nothing was written returns the last result, a step none of
-whose tables changed since returns its last f and b, and a large one
-recomputes just the values of the joint rows that the written entries,
-or the changed entries of earlier steps, reach. It reads those rows
-through flat offsets into its tables that the plan works out once, and
-sets their entries of b to -1: recovery reads one row of each b and
-recomputes the best response there only when it holds -1.
+among its tables' births, and the last b of each step that is not
+memoized. A run when nothing was written returns the last result, a
+step none of whose tables changed since returns its last f (and b), and
+a large, memoized one recomputes just the values of the joint rows that
+the written entries, or the changed entries of earlier steps, reach. It
+reads those rows through flat offsets into its tables that the plan
+works out once, and keeps no b: recovery recomputes its best response
+in the one row it reads.
 Tables the kernel derives skip FunctionTable's validation; each
 conditional-value table is checked to be finite, which catches a sum
 that overflows and a non-finite input that reaches a row's maximum, and
@@ -56,6 +56,7 @@ __all__ = [
     "default_elimination_order",
     "MAX_INDUCED_SCOPE",
     "MAX_BRUTE_FORCE",
+    "MAX_TABLE_ENTRIES",
 ]
 
 # Variable elimination is exponential in the induced width; fail fast
@@ -64,6 +65,11 @@ MAX_INDUCED_SCOPE = 8
 
 # Cap on enumerable joint-action combinations for the brute-force oracle.
 MAX_BRUTE_FORCE = 10**7
+
+# Most entries an elimination step's joint table, or the agents' Q-tables
+# together, may have (80 MB of float64): a larger problem is refused
+# before anything is allocated rather than failing in numpy.
+MAX_TABLE_ENTRIES = 10**7
 
 # A plan step is memoized when its joint table has this many entries.
 # Smaller ones cost little in full: memoizing the 2-cell 21x21 step made a
@@ -258,10 +264,16 @@ def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
         )
     joint = (*remaining, agent)
     joint_shape = tuple(sizes[a] for a in joint)
-    rows = np.arange(0, math.prod(joint_shape), joint_shape[-1]).reshape(joint_shape[:-1])
+    entries = math.prod(joint_shape)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"eliminating agent {agent} would sum a joint table of {entries} entries "
+            f"(limit {MAX_TABLE_ENTRIES})"
+        )
+    rows = np.arange(0, entries, joint_shape[-1]).reshape(joint_shape[:-1])
     rows.flags.writeable = False  # shared by every run of the plan
     gathers = None
-    if remaining and math.prod(joint_shape) >= MEMO_MIN_ENTRIES:
+    if remaining and entries >= MEMO_MIN_ENTRIES:
         gathers = tuple(_gather(scope, sizes, remaining, agent) for scope in scopes)
     return Layout(tuple(remaining), _views(scopes, joint, sizes), joint_shape, rows, gathers)
 
@@ -312,10 +324,14 @@ def _row_sums(layout: Layout, functions, rows) -> np.ndarray:
 def _best_response(layout: Layout, functions, at: tuple[int, ...]) -> int:
     """The eliminated agent's best response in the joint row of the
     remaining agents' actions `at` (lowest index on ties): what
-    eliminate_agent's best holds there, for a row that a memoized step's
-    row path left at -1."""
-    row = layout.rows[at] // layout.joint_shape[-1]
-    return int(_row_sums(layout, functions, [row]).argmax())
+    eliminate_agent's best holds there. One column of each gathered table
+    is added, in gather order, into +0.0, the sums the full kernel makes
+    (see _aligned_sum)."""
+    n = layout.joint_shape[-1]
+    total = np.zeros(n)
+    for fn, gather in zip(functions, layout.gathers):
+        np.add(total, fn.values.transpose(gather.perm).reshape(n, -1)[:, gather.columns[at]], out=total)
+    return int(total.argmax())
 
 
 class PlanStep(NamedTuple):
@@ -324,7 +340,7 @@ class PlanStep(NamedTuple):
     gather holds the births of the tables it sums, ascending. memo says
     whether a tracked plan recomputes just this step's dirty rows: its
     result has a scope and its joint table MEMO_MIN_ENTRIES entries, and
-    its layout has the gathers that the row path reads.
+    its layout has the gathers that the row path and recovery read.
     """
 
     agent: int
@@ -343,10 +359,10 @@ def _dirty_rows(layout: Layout, changes) -> np.ndarray:
     return np.flatnonzero(dirty)
 
 
-def _run_step(step: PlanStep, f: FunctionTable, b: np.ndarray, functions, changes):
+def _run_step(step: PlanStep, f: FunctionTable, b, functions, changes):
     """Run one step from its last f and b, where that pays; returns its
-    new f and b and the flat indices of the entries of f that changed
-    since the plan's last complete run (None: not known).
+    new f and b (None when memoized) and the flat indices of the entries
+    of f that changed since the plan's last complete run (None: unknown).
 
     `changes` holds, per gathered table, the entries changed since that
     run, or None when not known. A step with no changed input returns its
@@ -356,15 +372,12 @@ def _run_step(step: PlanStep, f: FunctionTable, b: np.ndarray, functions, change
     they reach (_row_sums: the same tables in the same order from +0.0 as
     the full kernel) and takes each one's maximum, which equals the
     kernel's bits (no entry is -0.0, see _aligned_sum, and a NaN or inf
-    fails the finite check either way). Once they pass that check, those
-    rows of b are set to -1 in place (only the plan reads b, and its
-    recovery recomputes a -1 row's best response, _best_response), and
-    their values go into a copy of f, which callers hold: an f once
-    returned never changes. Other rows keep their last values, so every
-    entry of b is the kernel's best response or -1. Every other run takes
-    eliminate_agent in full; an f with a scope, which a later step
-    gathers, is compared with the last one when every input is known (f
-    never holds -0.0, so equal values are equal bits).
+    fails the finite check either way). Once they pass that check, their
+    values go into a copy of f, which callers hold: an f once returned
+    never changes. Every other run takes eliminate_agent in full, and a
+    memoized step drops its best responses; an f with a scope, which a
+    later step gathers, is compared with the last one when every input is
+    known (f never holds -0.0, so equal values are equal bits).
     """
     layout = step.layout
     sizes = [len(entries) for entries in changes if entries is not None]
@@ -378,7 +391,6 @@ def _run_step(step: PlanStep, f: FunctionTable, b: np.ndarray, functions, change
         rows = _dirty_rows(layout, changes)
         values = _row_sums(layout, functions, rows).max(axis=0)
         _check_finite(values, step.agent)
-        np.put(b, rows, -1)
         moved = values != f.values.take(rows)
         changed = rows[moved]
         if changed.size:
@@ -389,7 +401,7 @@ def _run_step(step: PlanStep, f: FunctionTable, b: np.ndarray, functions, change
         last = f
         f, b = eliminate_agent(functions, step.agent, layout=layout)
         changed = (f.values != last.values).ravel().nonzero()[0] if known and layout.remaining else None
-    return f, b, changed
+    return f, None if step.memo else b, changed
 
 
 class EliminationPlan:
@@ -406,20 +418,20 @@ class EliminationPlan:
 
     Each input table's array must stay the same object and change only in
     place. The plan holds each step's last f as its birth, in `_born`,
-    and its last b, an index array, in `_best`; a run replaces both only
-    when the step returns, so a step that raises leaves them as they
-    were. Each entry of b is the step's best response in that joint row,
-    or -1 where a memoized step's row path left it for recovery to
-    recompute from the step's current tables (_best_response). With trackers, one per table, each write goes through a writer
-    that logs it: trackers[i], for input i, has a `version` and
-    changes_since(version) (LocalQ does). The plan then keeps `_seen`, its
-    trackers' versions when its last complete run began. A run when no
-    version moved returns the last result; any other run reads each
-    tracker's changes since `_seen` once and hands every step the changes
-    of the tables it gathers (see _run_step). The result equals a fresh
-    plan's bit for bit. A run clears `_seen` on entry and sets it only
-    once it succeeded, so the run after one that raised is a full one.
-    Without trackers every run is a full one.
+    and its last b, an index array, in `_best`, or None for a memoized
+    step, whose best response recovery recomputes in the one row it reads
+    (_best_response); a run replaces both only when the step returns, so
+    a step that raises leaves them as they were. With trackers, one per
+    table, each write goes through a writer that logs it: trackers[i],
+    for input i, has a `version` and changes_since(version) (LocalQ does).
+    The plan then keeps `_seen`, its trackers' versions when its last
+    complete run began. A run when no version moved returns the last
+    result; any other run reads each tracker's changes since `_seen` once
+    and hands every step the changes of the tables it gathers (see
+    _run_step). The result equals a fresh plan's bit for bit. A run clears
+    `_seen` on entry and sets it only once it succeeded, so the run after
+    one that raised is a full one. Without trackers every run is a full
+    one.
     """
 
     def __init__(self, tables, order, trackers=None):
@@ -493,10 +505,8 @@ class EliminationPlan:
         assignment: dict[int, int] = {}
         for step, b in zip(reversed(self.steps), reversed(best)):
             at = tuple([assignment[a] for a in step.layout.remaining])
-            action = int(b[at])
-            if action < 0:
-                action = _best_response(step.layout, [born[i] for i in step.gather], at)
-            assignment[step.agent] = action
+            action = _best_response(step.layout, [born[i] for i in step.gather], at) if b is None else b[at]
+            assignment[step.agent] = int(action)
         self._seen, self._last = now, (assignment, value, born[n:])
         return self._last
 

@@ -56,7 +56,8 @@ def optimal_two_user(cfg: radio.NetworkConfig) -> Allocation:
     caps = cfg.p_max_mw
     s1 = cfg.gain[0] * caps[0]
     s2 = cfg.gain[1] * caps[1]
-    threshold = np.inf if beta == 0 else 1.0 / beta**2
+    # A beta so small that its square is 0 (1e-200, say) counts as 0.
+    threshold = np.inf if beta**2 == 0 else 1.0 / beta**2
 
     first_alone = s1 >= max(s2, threshold)
     second_alone = s2 >= max(s1, threshold)

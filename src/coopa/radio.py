@@ -94,6 +94,15 @@ class NetworkConfig:
             raise ValueError("beta: interference ratios must lie in [0, 1]")
         if np.any(np.diag(beta) != 0):
             raise ValueError("no self-interference: diagonal of beta must be 0")
+        # Every received power, every sum of them and every SINR is at most
+        # n * max(gain) * max(p_max_mw), or that over noise_mw.
+        with np.errstate(over="ignore"):
+            received = n * gain.max(initial=0.0) * self.p_max_mw.max(initial=0.0)
+            if not np.isfinite(received) or not np.isfinite(received / self.noise_mw):
+                raise ValueError(
+                    f"the largest SINR overflows a float: gain up to {gain.max()}, "
+                    f"p_max_dbm up to {p_max.max()}, noise_mw {self.noise_mw}"
+                )
         if isinstance(self.n_power, bool) or not isinstance(self.n_power, (int, np.integer)):
             raise ValueError(f"n_power must be an integer, got {self.n_power!r}")
         if self.n_power < 2:

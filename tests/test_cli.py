@@ -1,16 +1,21 @@
 """Harness tests: config parsing, sweeps, surface export, the command line."""
 
+import contextlib
 import csv
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopa import cli, radio
+from coopa.coordgraph import MAX_TABLE_ENTRIES
 from coopa.learner import LearningParams
 from coopa.runtime import build_agents, train
 
@@ -91,6 +96,15 @@ class TestLoadConfig:
         path = tmp_path / "bad.ini"
         path.write_text("[network]\ngains = 1.0, 2.0, 3.0\n")
         with pytest.raises(cli.ConfigValueError):
+            cli.load_config(path)
+
+    def test_tables_at_the_limit_pass(self, tmp_path):
+        # Two independent cells of n_power levels: 2 * n_power entries.
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[network]\nbeta = 0\nn_power = {MAX_TABLE_ENTRIES // 2}\n[experiment]\nbetas = 0\n")
+        cli.load_config(path)
+        path.write_text(f"[network]\nbeta = 0\nn_power = {MAX_TABLE_ENTRIES // 2 + 1}\n[experiment]\nbetas = 0\n")
+        with pytest.raises(cli.ConfigValueError, match=r"over 2 cells .* \(limit"):
             cli.load_config(path)
 
     def test_epsilon_defaults_decay_over_all_episodes(self, tmp_path):
@@ -347,6 +361,8 @@ class TestCommandLine:
         ("network", "gains = -1, 1", "[network] gains:"),
         ("network", "noise_dbm = 4000", "[network] noise_dbm"),
         ("network", "p_max_dbm = 10, 4000", "[network] p_max_dbm"),
+        ("network", "gains = 1, 1e308", "[network] the largest SINR overflows a float"),
+        ("network", "noise_dbm = -3075", "[network] the largest SINR overflows a float"),
         ("experiment", "betas = 0:x:0.5", "[experiment] betas:"),
         ("experiment", "betas = 0:1:1e-5", "[experiment] betas:"),
         ("experiment", "betas = 0.3, 1.5", "[experiment] betas"),
@@ -416,3 +432,125 @@ class TestCommandLine:
         rc = cli.main(["run", "--config", str(config)])
         assert rc == 2
         assert "beta" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("network, cells, beta", [
+        ("n_power = 1000000", 2, 0.3),
+        ("gains = {0}\np_max_dbm = {0}\nn_power = 21".format(", ".join(["2.5"] * 10)), 10, 0.3),
+        # At beta 0 the cells are independent, but a sweep's betas are not.
+        ("beta = 0\nn_power = 1000000", 2, 1.0),
+    ], ids=["n_power", "cells", "sweep-betas"])
+    def test_tables_over_the_limit_fail_before_training(self, tmp_path, capsys, monkeypatch, network, cells, beta):
+        monkeypatch.setattr(cli.runtime, "train", lambda *a, **kw: pytest.fail("trained"))
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[network]\n{network}\n")
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        message = capsys.readouterr().out
+        assert message.startswith("error: [network] n_power = ")
+        assert f" over {cells} cells " in message
+        assert f" at beta {beta} (limit {MAX_TABLE_ENTRIES})" in message
+        assert not out.exists()
+
+
+def _floats(low=None, high=None):
+    """A float as config text: in [low, high] when given, else any float,
+    huge, tiny, infinite or NaN included."""
+    if low is not None:
+        return st.floats(low, high).map(repr)
+    return st.one_of(
+        st.floats(), st.sampled_from([0.0, -0.0, 1e-320, 1e308, -1e308, 1.5, 4000.0])
+    ).map(repr)
+
+
+def _mostly(good, bad):
+    """good nine times in ten, else bad."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+def _betas():
+    """beta ranges as text: mostly a short range or list within [0, 1];
+    else a range of far too many points, values outside [0, 1] or a
+    malformed spec."""
+    point = st.one_of(st.sampled_from(["1.5", "-0.1", "nan", "inf", "x"]), _floats())
+    return _mostly(
+        st.one_of(st.lists(_floats(0, 1), min_size=1, max_size=3).map(", ".join), st.just("0:1:0.5")),
+        st.one_of(
+            st.lists(point, min_size=1, max_size=3).map(", ".join),
+            st.tuples(point, point, st.sampled_from(["0.5", "1e-9", "0", "-0.5", "nan"])).map(":".join),
+            st.sampled_from(["", ",", "0:1", "0:1:0.5:2", "0:1e-9:1e-12"]),
+        ),
+    )
+
+
+@st.composite
+def _config_texts(draw):
+    """A config file of 1-2 episodes whose keys are each present or not,
+    with values mostly in range and now and then far out of it, of the
+    wrong type, or beside a malformed line."""
+    cells = draw(_mostly(st.integers(1, 4), st.one_of(st.just(10), st.integers(11, 40))))
+    lines = ["[network]"]
+    if draw(st.booleans()):
+        lines.append("gains = " + ", ".join(draw(st.lists(
+            _mostly(_floats(0.1, 5), _floats()), min_size=cells, max_size=cells))))
+        lines.append("p_max_dbm = " + ", ".join(draw(_mostly(
+            st.lists(_floats(-10, 30), min_size=cells, max_size=cells),
+            st.lists(_floats(), min_size=1, max_size=cells + 1)))))
+    keys = {
+        "noise_dbm": _mostly(_floats(-30, 10), _floats()),
+        "beta": _mostly(_floats(0, 1), _floats()),
+        "n_power": _mostly(st.integers(2, 6), st.one_of(
+            st.integers(-3, 1), st.integers(MAX_TABLE_ENTRIES + 1, 10**30), st.just("lots"))).map(str),
+        "[learning]": None,
+        "alpha": _mostly(_floats(0.01, 1), _floats()),
+        "gamma": _mostly(_floats(0, 0.99), _floats()),
+        "epsilon_start": _mostly(_floats(0, 1), _floats()),
+        "epsilon_end": _mostly(_floats(0, 1), _floats()),
+        "epsilon_decay_episodes": _mostly(st.integers(1, 10), st.integers(-2, 10**30)).map(str),
+        "[experiment]": None,
+        "seed": _mostly(st.integers(0, 100), st.integers(-2, 10**30)).map(str),
+        "betas": _betas(),
+    }
+    for key, value in keys.items():
+        if value is None:
+            lines.append(key)
+        elif draw(st.booleans()):
+            lines.append(f"{key} = {draw(value)}")
+    lines.append(f"episodes = {draw(st.integers(1, 2))}")
+    malformed = ["[antenna]", "tilt = 3", "seed", "seed = 1", "= 3", "[network", "n_power = 5\n  7"]
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(malformed)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _options(draw, out: Path):
+    """A command and its options, each of the type the parser wants."""
+    command = draw(st.sampled_from(["run", "sweep", "surface"]))
+    argv = [command, "--out", str(out / ("q.csv" if command == "surface" else "out"))]
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(_mostly(st.integers(0, 100), st.integers(-2, 10**30)))}")
+    if command == "sweep" and draw(st.booleans()):
+        argv.append(f"--betas={draw(_betas())}")
+    if command == "surface" and draw(st.booleans()):
+        argv.append(f"--beta={draw(_mostly(_floats(0, 1), _floats()))}")
+    return argv
+
+
+class TestCommandLineFuzz:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_config_texts(), st.data())
+    def test_every_config_exits_0_or_reports_an_error(self, text, data):
+        # No config or option ends in a traceback: a command either runs
+        # (exit 0) or prints one "error: ..." line and exits 2.
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setenv("COOPA_THREADS", "1")  # a sweep trains in this process
+            tmp = Path(tmp)
+            config = tmp / "exp.ini"
+            config.write_text(text)
+            argv = data.draw(_options(tmp)) + ["--config", str(config)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = cli.main(argv)
+            printed = out.getvalue().splitlines()
+            assert rc == 0 or (rc == 2 and any(line.startswith("error:") for line in printed)), (rc, printed)

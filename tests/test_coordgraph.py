@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -523,6 +524,23 @@ class TestPlan:
         with pytest.raises(ValueError, match="trackers"):
             EliminationPlan(tables, (1, 0), trackers[: len(tables) + extra])
 
+    def test_joint_table_over_the_limit_rejected(self, monkeypatch):
+        # Eliminating agent 1 first sums a 3 x 3 joint table, which is
+        # refused before its step's gathers are worked out.
+        monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+        monkeypatch.setattr(coordgraph, "MAX_TABLE_ENTRIES", 8)
+        gather = coordgraph._gather
+        monkeypatch.setattr(coordgraph, "_gather", lambda *a: pytest.fail("gathers worked out"))
+        functions = [FunctionTable((0, 1), np.zeros((3, 3))), FunctionTable((1,), np.zeros(3))]
+        message = re.escape("eliminating agent 1 would sum a joint table of 9 entries (limit 8)")
+        with pytest.raises(ValueError, match=message):
+            EliminationPlan(functions, (1, 0))
+        with pytest.raises(ValueError, match=message):
+            Coordination(agents_holding(functions), (1, 0))
+        monkeypatch.setattr(coordgraph, "_gather", gather)
+        monkeypatch.setattr(coordgraph, "MAX_TABLE_ENTRIES", 9)
+        assert EliminationPlan(functions, (1, 0)).run()[:2] == ({0: 0, 1: 0}, 0.0)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_nonfinite_table_entry_rejected(self, entry):
         # Written past local_update, straight into an agent's table.
@@ -562,21 +580,20 @@ def last_results(plan):
     return list(zip(plan._born[len(plan.tables):], plan._best))
 
 
-def assert_best_responses(plan, expected):
-    """Each step's b in `plan` holds, in every row, the best response in
-    `expected` (one index array per step, as eliminate_agent returns) or
-    -1, and recovery's recompute of every -1 row from the step's current
-    tables equals it. Only memoized steps hold -1."""
-    for step, b, want in zip(plan.steps, plan._best, expected):
-        if not step.memo:
+def assert_best_responses(plan, action):
+    """After a run of `plan` that returned the joint action `action`: a
+    memoized step keeps no b, every other step's b is the full kernel's
+    on the tables the run gathered, bit for bit, and `action` is what
+    recovery reads from the kernel's b of every step."""
+    decided = {}
+    for step, b in zip(reversed(plan.steps), reversed(plan._best)):
+        _, want = eliminate_agent([plan._born[i] for i in step.gather], step.agent, layout=step.layout)
+        if step.memo:
+            assert b is None
+        else:
             assert same_bits(b, want)
-            continue
-        assert b.dtype == want.dtype and b.shape == want.shape
-        assert np.all((b == want) | (b == -1))
-        functions = [plan._born[i] for i in step.gather]
-        for at in np.argwhere(b == -1):
-            at = tuple(int(i) for i in at)
-            assert coordgraph._best_response(step.layout, functions, at) == want[at]
+        decided[step.agent] = int(want[tuple(decided[a] for a in step.layout.remaining)])
+    assert list(action.items()) == list(decided.items())
 
 
 MEMO_CASES = settings(
@@ -612,13 +629,9 @@ class TestMemo:
             expected_action, expected_value, conditionals = EliminationPlan(tables, order).run()
             assert action == expected_action
             assert same_bits(value, expected_value)
-            born = tables + conditionals
             for (f, _), expected in zip(last_results(plan), conditionals):
                 assert same_bits(f.values, expected.values)
-            assert_best_responses(plan, [
-                eliminate_agent([born[i] for i in step.gather], step.agent, layout=step.layout)[1]
-                for step in plan.steps
-            ])
+            assert_best_responses(plan, action)
             # The same traffic as agents that remember nothing.
             assert log == logged_ve(recording(agents_holding(tables), order))[2]
 
@@ -680,35 +693,36 @@ class TestMemo:
                 assert action == expected_action
                 assert same_bits(value, expected_value)
 
-    def test_dirty_rows_are_written_into_the_memos_b(self, monkeypatch):
+    def test_the_row_path_keeps_no_b(self, monkeypatch):
         monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
         monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", math.inf)
+        summed = []  # rows each row-path run summed
+        row_sums = coordgraph._row_sums
+        monkeypatch.setattr(
+            coordgraph, "_row_sums", lambda layout, fns, rows: summed.append(len(rows)) or row_sums(layout, fns, rows)
+        )
         rng = np.random.default_rng(6)
         agents = ring_agents(5, 4, rng)
         order = (0, 1, 2, 3, 4)
         coordination = Coordination(agents, order)
         plan = coordination.plan
-        ve_via_messages(coordination)
-        kept = list(plan._best)
-        assert np.all(kept[0] >= 0)
+        action, _ = ve_via_messages(coordination)
+        assert plan.steps[0].memo and summed == []
+        assert_best_responses(plan, action)
         # Gathered by step 0 (eliminating agent 0): 16 of its 256 rows
-        # dirty, whose best responses are left to recovery.
+        # dirty, whose best response recovery recomputes where it reads.
         agents[1].local_q.write((0, 1, 2), 7.0)
-        ve_via_messages(coordination)
-        assert np.count_nonzero(plan._best[0] == -1) == 16
-        _, fresh = plan_of(agents, order)
-        fresh.run()
-        for step, b, held in zip(plan.steps, plan._best, kept):
-            if step.memo:
-                assert b is held
-        assert_best_responses(plan, fresh._best)
+        action, _ = ve_via_messages(coordination)
+        assert summed[0] == 16
+        assert action == plan_of(agents, order)[1].run()[0]
+        assert_best_responses(plan, action)
 
     @MEMO_CASES
     @given(instances())
     def test_recovery_recomputes_every_row_like_the_kernel(self, monkeypatch, instance):
         # Every step with a scope memoized: at every joint row, the row
-        # path's sums give the kernel's f bit for bit, and the recompute
-        # that recovery makes of a -1 row gives the kernel's best response.
+        # path's sums give the kernel's f bit for bit, and the best
+        # response that recovery recomputes there is the kernel's.
         monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
         functions, order, _ = instance
         plan = EliminationPlan(functions, order)
@@ -741,7 +755,7 @@ class TestMemo:
         plan.run()
         qs[0].write((0, 0), 1.0)  # unchanged, but logged: row a1 = 0 is dirty
         action, value, _ = plan.run()
-        assert plan._best[0][0] == -1
+        assert plan._best[0] is None  # recovery recomputes agent 0's best response
         assert action == ve_argmax(tables, (0, 1))[0] == {1: 0, 0: 1}
         assert value == 0.5
 
@@ -818,13 +832,14 @@ class TestMemo:
         for (f, _), expected in zip(last_results(coordination.plan), conditionals):
             assert same_bits(f.values, expected.values)
 
-    def test_a_step_that_raised_left_its_b_as_it_was(self, monkeypatch):
-        monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
-        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", math.inf)
+    def test_a_step_that_raised_left_its_b_as_it_was(self):
+        # Only a step that is not memoized keeps a b: at the default gate,
+        # step 0's joint table has 5^4 entries.
         rng = np.random.default_rng(3)
         agents = ring_agents(4, 5, rng)
         coordination = Coordination(agents, (0, 1, 2, 3))
         ve_via_messages(coordination)
+        assert not coordination.plan.steps[0].memo
         b = coordination.plan._best[0].copy()
         # Gathered by step 0 (eliminating agent 0): the best response in
         # its rows (a1, a2) = (2, 1) would become action 4.
@@ -936,7 +951,7 @@ class TrackedPlanMachine(RuleBasedStateMachine):
         assert all(same_bits(f.values, g.values) for f, g in zip(conditionals, expected))
         for (f, _), (want_f, _) in zip(last_results(coordination.plan), last_results(fresh)):
             assert same_bits(f.values, want_f.values)
-        assert_best_responses(coordination.plan, fresh._best)
+        assert_best_responses(coordination.plan, action)
         assert log == logged_ve(recording(self.agents, order))[2]
 
     @rule(which=st.integers(0, len(ORDERS) - 1), bad=st.sampled_from([np.nan, np.inf]), retry=st.booleans(),

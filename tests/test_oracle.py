@@ -50,6 +50,12 @@ class TestClosedForm:
         alloc = oracle.optimal_two_user(radio.two_cell_config(0.0))
         assert alloc.powers_mw == (10.0, pytest.approx(CAP2_MW))
 
+    def test_vanishing_beta_full_power(self):
+        # beta^2 underflows to 0: the threshold is infinite, as at beta 0,
+        # without dividing by zero.
+        alloc = oracle.optimal_two_user(radio.two_cell_config(1e-200))
+        assert alloc.powers_mw == (10.0, pytest.approx(CAP2_MW))
+
     def test_weak_interference_full_power(self):
         # 1/0.1^2 = 100 exceeds both received powers
         alloc = oracle.optimal_two_user(radio.two_cell_config(0.1))

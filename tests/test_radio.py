@@ -101,6 +101,16 @@ class TestSinr:
                     radio.sinr(i, p, cfg), rel=1e-12
                 )
 
+    @pytest.mark.parametrize("gain, noise_mw", [(1e308, 1.0), (1e300, 1e-300), (7e305, 1.0)])
+    def test_a_network_whose_sinr_overflows_is_rejected(self, gain, noise_mw):
+        # Three cells at 100 mW: a received power, an SINR, or (at 7e305)
+        # the sum of three received powers would not be a finite float.
+        with pytest.raises(ValueError, match="the largest SINR overflows a float"):
+            radio.NetworkConfig(
+                gain=np.array([gain, 1e153, 1.0]), beta=np.full((3, 3), 1.0) - np.eye(3),
+                noise_mw=noise_mw, p_max_dbm=np.full(3, 20.0), n_power=2,
+            )
+
     def test_stack_of_joint_powers(self):
         # a stack along the leading agent axis gives, at every point, the
         # same float as the scalar call
