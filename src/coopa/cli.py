@@ -105,10 +105,7 @@ class ExperimentConfig:
         """Explicit episode count, or 50x the largest local Q-table."""
         if self.episodes is not None:
             return self.episodes
-        largest = max(
-            self.n_power ** (1 + len(cfg.interferers[j])) for j in range(cfg.n_agents)
-        )
-        return 50 * largest
+        return 50 * max(runtime.q_table_entries(cfg))
 
     def learning(self, episodes: int) -> LearningParams:
         decay = self.epsilon_decay_episodes
@@ -223,7 +220,7 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     # betas, of which the largest gives the most interferers.
     for beta in (config.beta, max(config.betas, default=0.0)):
         net = config.network(beta)
-        entries = sum(config.n_power ** (1 + len(i)) for i in net.interferers)
+        entries = sum(runtime.q_table_entries(net))
         if entries > MAX_TABLE_ENTRIES:
             raise ConfigValueError(
                 f"[network] n_power = {config.n_power} over {net.n_agents} cells makes Q-tables "

@@ -39,6 +39,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,21 +55,14 @@ __all__ = [
     "ve_argmax",
     "brute_force_argmax",
     "default_elimination_order",
-    "MAX_INDUCED_SCOPE",
-    "MAX_BRUTE_FORCE",
     "MAX_TABLE_ENTRIES",
 ]
 
-# Variable elimination is exponential in the induced width; fail fast
-# instead of exhausting memory on an unexpectedly dense graph.
-MAX_INDUCED_SCOPE = 8
-
-# Cap on enumerable joint-action combinations for the brute-force oracle.
-MAX_BRUTE_FORCE = 10**7
-
-# Most entries an elimination step's joint table, or the agents' Q-tables
-# together, may have (80 MB of float64): a larger problem is refused
-# before anything is allocated rather than failing in numpy.
+# Most entries an elimination step's joint table, a brute-force search's
+# joint space, or the agents' Q-tables together may have (80 MB of
+# float64): a larger problem is refused before anything is allocated
+# rather than failing in numpy. A step is memoized only when its offsets,
+# one int32 per joint row for each table it sums, fit it too.
 MAX_TABLE_ENTRIES = 10**7
 
 # A plan step is memoized when its joint table has this many entries.
@@ -229,9 +223,9 @@ class Layout(NamedTuple):
 def _flat_offsets(agents, sizes: dict[int, int], strides: dict[int, int]) -> np.ndarray:
     """For each joint action of `agents`, the sum of each agent's action
     times its stride in `strides` (0 when it has none): an int32 array
-    with one axis per agent."""
-    index = np.indices([sizes[a] for a in agents], dtype=np.int32)
-    return np.tensordot(np.array([strides.get(a, 0) for a in agents], dtype=np.int32), index, axes=1)
+    with one axis per agent, or 0 when there are none."""
+    axes = [np.arange(sizes[a], dtype=np.int32) * strides.get(a, 0) for a in agents]
+    return functools.reduce(np.add, np.ix_(*axes), np.int32(0))
 
 
 def _c_strides(agents, sizes: dict[int, int]) -> dict[int, int]:
@@ -257,13 +251,11 @@ def _gather(scope, sizes: dict[int, int], remaining, agent: int) -> Gather:
 def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
     remaining = sorted(set(itertools.chain.from_iterable(scopes)))
     remaining.remove(agent)
-    if len(remaining) > MAX_INDUCED_SCOPE:
-        raise ValueError(
-            f"eliminating agent {agent} would induce a table over {len(remaining)} "
-            f"agents (limit {MAX_INDUCED_SCOPE})"
-        )
     joint = (*remaining, agent)
     joint_shape = tuple(sizes[a] for a in joint)
+    # numpy holds no array of over 64 axes (only size-1 action sets get there
+    # within the limit): an empty one of the joint's rank fails here, at build.
+    np.empty((0,) * len(joint))
     entries = math.prod(joint_shape)
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(
@@ -273,7 +265,7 @@ def _layout(scopes, sizes: dict[int, int], agent: int) -> Layout:
     rows = np.arange(0, entries, joint_shape[-1]).reshape(joint_shape[:-1])
     rows.flags.writeable = False  # shared by every run of the plan
     gathers = None
-    if remaining and entries >= MEMO_MIN_ENTRIES:
+    if remaining and entries >= MEMO_MIN_ENTRIES and len(scopes) * rows.size <= MAX_TABLE_ENTRIES:
         gathers = tuple(_gather(scope, sizes, remaining, agent) for scope in scopes)
     return Layout(tuple(remaining), _views(scopes, joint, sizes), joint_shape, rows, gathers)
 
@@ -339,8 +331,9 @@ class PlanStep(NamedTuple):
 
     gather holds the births of the tables it sums, ascending. memo says
     whether a tracked plan recomputes just this step's dirty rows: its
-    result has a scope and its joint table MEMO_MIN_ENTRIES entries, and
-    its layout has the gathers that the row path and recovery read.
+    result has a scope, its joint table MEMO_MIN_ENTRIES entries and its
+    offsets fit MAX_TABLE_ENTRIES, and its layout has the gathers that
+    the row path and recovery read.
     """
 
     agent: int
@@ -529,7 +522,7 @@ def brute_force_argmax(functions) -> tuple[dict[int, int], float]:
     """Exhaustive max-sum oracle with lexicographic lowest-index tie-break.
 
     Enumerates the full joint-action space of all agents appearing in any
-    scope; refuses spaces larger than MAX_BRUTE_FORCE combinations.
+    scope; refuses spaces larger than MAX_TABLE_ENTRIES combinations.
     """
     functions = tuple(functions)
     if not functions:
@@ -537,14 +530,9 @@ def brute_force_argmax(functions) -> tuple[dict[int, int], float]:
     scopes = [fn.scope for fn in functions]
     agents = tuple(sorted(set(itertools.chain.from_iterable(scopes))))
     sizes = _action_sizes(scopes, [fn.values.shape for fn in functions])
-    n_combos = 1
-    for a in agents:
-        n_combos *= sizes[a]
-    if n_combos > MAX_BRUTE_FORCE:
-        raise ValueError(
-            f"joint action space has {n_combos} combinations "
-            f"(limit {MAX_BRUTE_FORCE})"
-        )
+    n_combos = math.prod(sizes[a] for a in agents)
+    if n_combos > MAX_TABLE_ENTRIES:
+        raise ValueError(f"joint action space has {n_combos} combinations (limit {MAX_TABLE_ENTRIES})")
 
     shape = tuple(sizes[a] for a in agents)
     total = _aligned_sum(functions, _views(scopes, agents, sizes), shape)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radio
-from .coordgraph import MAX_BRUTE_FORCE
+from .coordgraph import MAX_TABLE_ENTRIES
 
 # Most joint points the grid search evaluates at once, unless one level of
 # the leading agent alone spans more; a float64 array over 2**18 is 2 MiB.
@@ -79,7 +79,7 @@ def brute_force_grid_optimum(
     """Exhaustive argmax of the sum throughput over the power grid.
 
     Ties break to the lexicographically lowest joint index. Refuses joint
-    spaces above MAX_BRUTE_FORCE points, and a grid without one row per
+    spaces above MAX_TABLE_ENTRIES points, and a grid without one row per
     agent or with a level above its agent's cap. Evaluates the points with
     radio.sum_throughput's arithmetic, so the value is the same float, in
     blocks of the leading agent's levels that hold at most BLOCK_POINTS
@@ -87,10 +87,8 @@ def brute_force_grid_optimum(
     the search holds.
     """
     n_combos = grid.n_power**grid.n_agents
-    if n_combos > MAX_BRUTE_FORCE:
-        raise ValueError(
-            f"grid has {n_combos} joint points (limit {MAX_BRUTE_FORCE})"
-        )
+    if n_combos > MAX_TABLE_ENTRIES:
+        raise ValueError(f"grid has {n_combos} joint points (limit {MAX_TABLE_ENTRIES})")
     if grid.n_agents != cfg.n_agents:
         raise ValueError(f"grid has {grid.n_agents} rows for {cfg.n_agents} agents")
     if np.any(grid.levels > cfg.p_max_mw[:, None] * (1.0 + 1e-12)):

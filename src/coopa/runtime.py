@@ -24,10 +24,10 @@ plan's one run computes every message's content, so the backhaul only
 counts and logs what is sent; it does not deliver. The tables are written only
 through LocalQ, which logs each write, so a plan run when no table was
 written returns the last run's result, an elimination step whose tables
-were not written since the last complete run returns its f and b from
-that run, which the plan holds (f among its tables' births, b as an
-index array), and a large one recomputes only the joint rows that the
-written entries reach.
+were not written since the last complete run returns that run's f, and
+b unless memoized (the plan holds them), and a large, memoized one
+recomputes only the values of the joint rows that the written entries
+reach: recovery recomputes its best response in the one row it reads.
 
 Everything is deterministic under a fixed seed, regardless of scheduling.
 """
@@ -42,6 +42,7 @@ import numpy as np
 
 from . import radio
 from .coordgraph import (
+    MAX_TABLE_ENTRIES,
     CoordinationGraph,
     EliminationPlan,
     FunctionTable,
@@ -74,6 +75,7 @@ __all__ = [
     "run_episode",
     "train",
     "build_agents",
+    "q_table_entries",
     "greedy_joint_action",
     "write_trace_csv",
 ]
@@ -255,13 +257,26 @@ def ve_via_messages(coordination: Coordination) -> tuple[dict[int, int], float]:
     return assignment, value
 
 
+def q_table_entries(cfg: radio.NetworkConfig) -> list[int]:
+    """Each agent's Q-table entries: n_power per agent of the scope that
+    build_agents gives it, itself and its interferers."""
+    return [int(cfg.n_power) ** (1 + len(i)) for i in cfg.interferers]
+
+
 def build_agents(cfg: radio.NetworkConfig) -> list[Agent]:
     """Create zero-initialized agents for a network.
 
     Each agent's scope is itself plus its interferers, the agent-based
     decomposition induced by the interference model; its power levels are
-    its row of radio.build_action_grid(cfg).
+    its row of radio.build_action_grid(cfg). Q-tables of more than
+    MAX_TABLE_ENTRIES entries in all are refused before any is allocated.
     """
+    entries = sum(q_table_entries(cfg))
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"n_power = {cfg.n_power} over {cfg.n_agents} cells makes Q-tables "
+            f"of {entries} entries in all (limit {MAX_TABLE_ENTRIES})"
+        )
     grid = radio.build_action_grid(cfg)
     agents = []
     for j in range(cfg.n_agents):

@@ -282,6 +282,15 @@ class TestCommandLine:
         assert trace.exists()
         assert len(trace.read_text().strip().splitlines()) == 51
 
+    def test_run_on_ten_cells(self, tmp_path):
+        # Eliminating agent 9 first sums all ten Q-tables, of 2^10 entries.
+        cells = ", ".join(["2.5"] * 10)
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[network]\ngains = {cells}\np_max_dbm = {cells}\nn_power = 2\n[experiment]\nepisodes = 20\n")
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert len((out / "trace.csv").read_text().strip().splitlines()) == 21
+
     def test_run_seed_override_changes_output(self, tmp_path):
         config = tmp_path / "exp.ini"
         config.write_text(

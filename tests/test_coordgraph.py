@@ -12,7 +12,6 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from coopa import coordgraph
 from coopa.coordgraph import (
-    MAX_INDUCED_SCOPE,
     CoordinationGraph,
     EliminationPlan,
     FunctionTable,
@@ -110,15 +109,29 @@ class TestEliminateAgent:
         assert np.all(f.values == 2.5)
         assert np.all(b == 0)
 
-    def test_induced_scope_guard(self):
-        # eliminating a star's center leaves a table over all its leaves
-        def star(leaves):
-            return [FunctionTable((0, k), np.zeros((2, 2))) for k in range(1, leaves + 1)]
+    @pytest.mark.parametrize("leaves", [9, 12, 16])
+    def test_wide_induced_scopes_plan(self, leaves):
+        # Eliminating a star's center first leaves a table over all its
+        # leaves: only its entries are limited, not how many agents.
+        rng = np.random.default_rng(leaves)
+        functions = [FunctionTable((0, k), rng.uniform(-1, 1, (2, 2))) for k in range(1, leaves + 1)]
+        plan = EliminationPlan(functions, range(leaves + 1))
+        assert plan.steps[0].layout.remaining == tuple(range(1, leaves + 1))
+        action, value = plan.run()[:2]
+        expected_action, expected_value = brute_force_argmax(functions)
+        assert action == expected_action
+        assert value == pytest.approx(expected_value, rel=0, abs=1e-12)
 
-        f, _ = first_step(star(MAX_INDUCED_SCOPE), range(MAX_INDUCED_SCOPE + 1))
-        assert len(f.scope) == MAX_INDUCED_SCOPE
-        with pytest.raises(ValueError, match="limit"):
-            EliminationPlan(star(MAX_INDUCED_SCOPE + 1), range(MAX_INDUCED_SCOPE + 2))
+    def test_a_step_over_more_than_64_agents_fails_at_build(self):
+        # Only size-1 action sets fit so many agents within the limit, and
+        # numpy holds no array of more than 64 axes.
+        def star(leaves):
+            return [FunctionTable((0, k), np.zeros((1, 1))) for k in range(1, leaves + 1)]
+
+        assert EliminationPlan(star(63), range(64)).run()[:2] == (dict.fromkeys(range(64), 0), 0.0)
+        for leaves in (64, 65):
+            with pytest.raises(ValueError):
+                EliminationPlan(star(leaves), range(leaves + 1))
 
     def test_induced_scope_is_neighbor_union(self):
         # paper-style square graph: eliminating one corner joins its two
@@ -226,9 +239,15 @@ class TestBruteForce:
         assert value == 4.25
         assert action == {3: 0}
 
-    def test_space_guard(self):
+    def test_space_guard(self, monkeypatch):
         fns = [FunctionTable((k,), np.zeros(10)) for k in range(8)]  # 10^8 combos
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="limit"):
+            brute_force_argmax(fns)
+        fns = [FunctionTable((k,), np.zeros(n)) for k, n in enumerate((2, 3, 4))]  # 24 combos
+        monkeypatch.setattr(coordgraph, "MAX_TABLE_ENTRIES", 24)
+        assert brute_force_argmax(fns) == ({0: 0, 1: 0, 2: 0}, 0.0)
+        monkeypatch.setattr(coordgraph, "MAX_TABLE_ENTRIES", 23)
+        with pytest.raises(ValueError, match=re.escape("joint action space has 24 combinations (limit 23)")):
             brute_force_argmax(fns)
 
     def test_inconsistent_sizes(self):
@@ -540,6 +559,29 @@ class TestPlan:
         monkeypatch.setattr(coordgraph, "_gather", gather)
         monkeypatch.setattr(coordgraph, "MAX_TABLE_ENTRIES", 9)
         assert EliminationPlan(functions, (1, 0)).run()[:2] == ({0: 0, 1: 0}, 0.0)
+
+    def test_a_step_whose_offsets_exceed_the_limit_is_not_memoized(self, monkeypatch):
+        # Eliminating agent 0 first sums its three tables into a 16-entry
+        # joint table of 8 rows: 24 offsets. The next step has 8.
+        monkeypatch.setattr(coordgraph, "MEMO_MIN_ENTRIES", 0)
+        monkeypatch.setattr(coordgraph, "MEMO_MAX_DIRTY_SHARE", math.inf)
+        rng = np.random.default_rng(3)
+        scopes = [(0, 1), (1,), (0, 2), (0, 3)]
+        functions = [FunctionTable(s, rng.uniform(-1, 1, (2,) * len(s))) for s in scopes]
+        order = (0, 1, 2, 3)
+        monkeypatch.setattr(coordgraph, "MAX_TABLE_ENTRIES", 24)
+        assert [s.memo for s in EliminationPlan(functions, order).steps] == [True, True, True, False]
+        monkeypatch.setattr(coordgraph, "MAX_TABLE_ENTRIES", 23)
+        agents = agents_holding(functions)
+        coordination = Coordination(agents, order)
+        steps = coordination.plan.steps
+        assert not steps[0].memo and steps[0].layout.gathers is None and steps[1].memo
+        for k in range(4):
+            agents[2 + k % 2].local_q.write((k // 2, 1), rng.uniform(-1, 1))
+            action, value = ve_via_messages(coordination)
+            expected_action, expected_value = brute_force_argmax([a.local_q.as_function_table(0) for a in agents])
+            assert action == expected_action
+            assert value == pytest.approx(expected_value, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_nonfinite_table_entry_rejected(self, entry):
@@ -913,15 +955,16 @@ class TrackedPlanMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.gate = coordgraph.MEMO_MIN_ENTRIES
-        coordgraph.MEMO_MIN_ENTRIES = 0
         self.agents = ring_agents(5, 3, np.random.default_rng(0))
-        self.coordinations = [recording(self.agents, order) for order in ORDERS]
+        # The gate is read only while a plan is built.
+        gate, coordgraph.MEMO_MIN_ENTRIES = coordgraph.MEMO_MIN_ENTRIES, 0
+        try:
+            self.coordinations = [recording(self.agents, order) for order in ORDERS]
+        finally:
+            coordgraph.MEMO_MIN_ENTRIES = gate
+        assert all(s.memo for c in self.coordinations for s in c.plan.steps if s.layout.remaining)
         for which in range(len(ORDERS)):
             self.run(which)
-
-    def teardown(self):
-        coordgraph.MEMO_MIN_ENTRIES = self.gate
 
     def write(self, agent, k, data):
         q = self.agents[agent].local_q

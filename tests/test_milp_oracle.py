@@ -2,8 +2,8 @@
 
 milp_argmax maximizes a sum of scoped tables as a mixed-integer program
 over the local polytope (scipy's HiGHS), so it reaches graphs far past
-MAX_BRUTE_FORCE: twenty agents at three levels are about 3.5e9 joint
-actions.
+the MAX_TABLE_ENTRIES joint actions that brute force may enumerate:
+twenty agents at three levels are about 3.5e9.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
 from coopa.coordgraph import (
-    MAX_BRUTE_FORCE,
+    MAX_TABLE_ENTRIES,
     CoordinationGraph,
     FunctionTable,
     default_elimination_order,
@@ -80,8 +80,8 @@ def milp_argmax(tables) -> tuple[dict[int, int], float]:
 def neighbourhoods(family: str, n: int, rng) -> list[tuple[int, ...]]:
     """One scope per agent j: j with its neighbours on a ring or a line,
     or with up to two agents drawn within three places of it (a sparse
-    graph of bounded bandwidth, so every order's induced scope stays
-    within MAX_INDUCED_SCOPE)."""
+    graph of bounded bandwidth, so every order's joint tables stay far
+    within MAX_TABLE_ENTRIES)."""
     if family == "ring":
         return [tuple(sorted({(j - 1) % n, j, (j + 1) % n})) for j in range(n)]
     if family == "line":
@@ -138,7 +138,7 @@ def test_the_oracle_reaches_past_brute_force():
     rng = np.random.default_rng(0)
     scopes = neighbourhoods("ring", 20, rng)
     tables = [FunctionTable(s, rng.uniform(-1, 1, (LEVELS,) * len(s))) for s in scopes]
-    assert LEVELS**20 > MAX_BRUTE_FORCE
+    assert LEVELS**20 > MAX_TABLE_ENTRIES
     action, optimum = milp_argmax(tables)
     assert sorted(action) == list(range(20))
     assert sum(t.values[tuple(action[a] for a in t.scope)] for t in tables) == pytest.approx(optimum, rel=1e-9)

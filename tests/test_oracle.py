@@ -1,6 +1,7 @@
 """Oracle tests: the closed form, the grid search, and the baselines."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -143,10 +144,17 @@ class TestGridOptimum:
         alloc = oracle.brute_force_grid_optimum(cfg, radio.build_action_grid(cfg))
         assert alloc.powers_mw == (10.0, pytest.approx(CAP2_MW))
 
-    def test_space_guard(self):
+    def test_space_guard(self, monkeypatch):
         cfg = radio.two_cell_config(0.3, n_power=4000)  # 1.6e7 combos
         grid = radio.build_action_grid(cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="limit"):
+            oracle.brute_force_grid_optimum(cfg, grid)
+        cfg = radio.two_cell_config(0.3, n_power=5)  # 25 combos
+        grid = radio.build_action_grid(cfg)
+        monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 25)
+        assert oracle.brute_force_grid_optimum(cfg, grid).label == "brute-force"
+        monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 24)
+        with pytest.raises(ValueError, match=re.escape("grid has 25 joint points (limit 24)")):
             oracle.brute_force_grid_optimum(cfg, grid)
 
     def test_consistent_with_radio_objective(self):

@@ -1,12 +1,13 @@
 """Orchestration tests: message choreography, episodes, determinism."""
 
+import re
 import threading
 
 import numpy as np
 import pytest
 
 from coopa import oracle, radio, runtime
-from coopa.coordgraph import CoordinationGraph, EliminationPlan, default_elimination_order, ve_argmax
+from coopa.coordgraph import MAX_TABLE_ENTRIES, CoordinationGraph, EliminationPlan, default_elimination_order, ve_argmax
 from coopa.learner import LearningParams
 from coopa.runtime import (
     Agent,
@@ -362,6 +363,21 @@ class TestTrain:
         cfg = radio.two_cell_config(0.3, n_power=3)
         train(cfg, LearningParams(), episodes=5, seed=0, parallel=parallel)
         assert len(plans) == 1
+
+    def test_tables_over_the_limit_refused_before_any_is_allocated(self, monkeypatch):
+        # numpy's own error would be "Unable to allocate 7.28 TiB".
+        local_q = runtime.LocalQ
+        monkeypatch.setattr(runtime, "LocalQ", lambda *a, **kw: pytest.fail("allocated"))
+        message = f"n_power = 1000000 over 2 cells makes Q-tables of {2 * 10**12} entries in all (limit {MAX_TABLE_ENTRIES})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(radio.two_cell_config(0.3, n_power=10**6), LearningParams(), 1, seed=0)
+        cfg = radio.two_cell_config(0.3, n_power=3)  # 9 + 9 entries
+        monkeypatch.setattr(runtime, "MAX_TABLE_ENTRIES", 17)
+        with pytest.raises(ValueError, match=re.escape("of 18 entries in all (limit 17)")):
+            build_agents(cfg)
+        monkeypatch.setattr(runtime, "MAX_TABLE_ENTRIES", 18)
+        monkeypatch.setattr(runtime, "LocalQ", local_q)
+        assert [a.local_q.size for a in build_agents(cfg)] == runtime.q_table_entries(cfg) == [9, 9]
 
     def test_needs_at_least_one_episode(self):
         cfg = radio.two_cell_config(0.3, n_power=3)
