@@ -14,18 +14,16 @@ import configparser
 import csv
 import errno
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle, radio, runtime
-from .coordgraph import MAX_TABLE_ENTRIES, CoordinationGraph, default_elimination_order
+from .coordgraph import CoordinationGraph, default_elimination_order
 from .learner import LearningParams
 
 __all__ = [
     "ConfigError",
-    "ConfigParseError",
-    "ConfigValueError",
     "ExperimentConfig",
     "load_config",
     "parse_beta_range",
@@ -52,21 +50,16 @@ SWEEP_COLUMNS = [
 
 
 class ConfigError(Exception):
-    """Base class for configuration problems."""
-
-
-class ConfigParseError(ConfigError):
-    """The file is not well-formed key = value sections, or a value
-    does not parse as its expected type."""
-
-
-class ConfigValueError(ConfigError):
-    """A parsed value violates a model invariant (range, size, ...)."""
+    """A config file, option or value that cannot be used: malformed text,
+    a value that does not parse, or one that violates the model."""
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A full experiment description with reference-scenario defaults."""
+    """A full experiment description with reference-scenario defaults.
+    Checked when built, from a file or in Python, by building the network
+    and learning parameters it describes and sizing its Q-tables: a bad
+    value raises ConfigError naming its config section and field."""
 
     gains: tuple[float, ...] = (2.5, 1.5)
     p_max_dbm: tuple[float, ...] = (10.0, 13.0)
@@ -82,6 +75,35 @@ class ExperimentConfig:
     seed: int = 1
     betas: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(21))
     out_dir: str = "."
+
+    def __post_init__(self):
+        if len(self.gains) != len(self.p_max_dbm):
+            raise ConfigError(
+                f"[network] gains has {len(self.gains)} entries but "
+                f"p_max_dbm has {len(self.p_max_dbm)}"
+            )
+        if any(g <= 0 for g in self.gains):
+            raise ConfigError("[network] gains: channel gains must be positive")
+        for section, build in (("network", self.network), ("learning", lambda: self.learning(1))):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
+        if self.episodes is not None and self.episodes < 1:
+            raise ConfigError(f"[experiment] episodes must be at least 1, got {self.episodes}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(
+                f"[experiment] seed must be a non-negative integer, got {self.seed!r}"
+            )
+        if any(not 0 <= b <= 1 for b in self.betas):
+            raise ConfigError("[experiment] betas must all lie in [0, 1]")
+        # Training builds the agents' Q-tables at beta, or a sweep at each of
+        # betas, of which the largest gives the most interferers.
+        for beta in (self.beta, max(self.betas, default=0.0)):
+            try:
+                runtime.check_q_tables(self.network(beta), f" at beta {beta}")
+            except ValueError as exc:
+                raise ConfigError(f"[network] {exc}") from None
 
     def network(self, beta: float | None = None) -> radio.NetworkConfig:
         """Build the network at this config's beta (or an override)."""
@@ -148,7 +170,7 @@ def parse_beta_range(spec: str) -> tuple[float, ...]:
     """Parse "start:stop:step" into an inclusive tuple of beta values.
 
     A bare comma-separated list of values is also accepted. A range longer
-    than MAX_BETA_POINTS raises ConfigValueError without being built.
+    than MAX_BETA_POINTS raises ConfigError without being built.
     """
     spec = spec.strip()
     try:
@@ -159,13 +181,13 @@ def parse_beta_range(spec: str) -> tuple[float, ...]:
                 raise ValueError
             count = np.floor((stop - start) / step + 1e-9) + 1
             if count > MAX_BETA_POINTS:
-                raise ConfigValueError(
+                raise ConfigError(
                     f"beta range {spec!r} has {count:.0f} points, more than {MAX_BETA_POINTS}"
                 )
             return tuple(round(start + k * step, 12) for k in range(int(count)))
         return tuple(float(v) for v in spec.split(","))
     except ValueError:
-        raise ConfigParseError(
+        raise ConfigError(
             f"cannot parse beta range {spec!r}; expected start:stop:step or a comma list"
         ) from None
 
@@ -183,65 +205,27 @@ def _parse_value(kind: str, raw: str, where: str):
         else:
             return raw
     except ValueError:
-        raise ConfigParseError(f"{where}: cannot parse {raw!r} as {kind}") from None
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from None
     except ConfigError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
     if not np.all(np.isfinite(value)):
-        raise ConfigValueError(f"{where} must be finite, got {raw!r}")
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
     return value
 
 
-def _validate(config: ExperimentConfig) -> ExperimentConfig:
-    """Check a config by building the network and learning parameters it
-    describes; their errors come back prefixed with the config section."""
-    if len(config.gains) != len(config.p_max_dbm):
-        raise ConfigValueError(
-            f"[network] gains has {len(config.gains)} entries but "
-            f"p_max_dbm has {len(config.p_max_dbm)}"
-        )
-    if any(g <= 0 for g in config.gains):
-        raise ConfigValueError("[network] gains: channel gains must be positive")
-    for section, build in (("network", config.network), ("learning", lambda: config.learning(1))):
-        try:
-            build()
-        except ValueError as exc:
-            raise ConfigValueError(f"[{section}] {exc}") from None
-    if config.episodes is not None and config.episodes < 1:
-        raise ConfigValueError(
-            f"[experiment] episodes must be at least 1, got {config.episodes}"
-        )
-    if isinstance(config.seed, bool) or not isinstance(config.seed, int) or config.seed < 0:
-        raise ConfigValueError(
-            f"[experiment] seed must be a non-negative integer, got {config.seed!r}"
-        )
-    if any(not 0 <= b <= 1 for b in config.betas):
-        raise ConfigValueError("[experiment] betas must all lie in [0, 1]")
-    # Training builds the agents' Q-tables at beta, or a sweep at each of
-    # betas, of which the largest gives the most interferers.
-    for beta in (config.beta, max(config.betas, default=0.0)):
-        net = config.network(beta)
-        entries = sum(runtime.q_table_entries(net))
-        if entries > MAX_TABLE_ENTRIES:
-            raise ConfigValueError(
-                f"[network] n_power = {config.n_power} over {net.n_agents} cells makes Q-tables "
-                f"of {entries} entries in all at beta {beta} (limit {MAX_TABLE_ENTRIES})"
-            )
-    return config
-
-
 def load_config(path) -> ExperimentConfig:
-    """Read and validate an experiment config file.
+    """Read an experiment config file.
 
-    Raises FileNotFoundError for a missing file, ConfigParseError for
-    malformed text or unparseable values, ConfigValueError for values
-    violating model invariants. Omitted keys take reference-scenario
-    defaults.
+    Raises FileNotFoundError for a missing file, and ConfigError for
+    malformed text, unparseable values or values violating model
+    invariants. Omitted keys take reference-scenario defaults.
     """
-    return _validate(_read_config(path))
+    return ExperimentConfig(**_read_config(path))
 
 
-def _read_config(path) -> ExperimentConfig:
-    """load_config without the check of the values against the model."""
+def _read_config(path) -> dict:
+    """The {key: value} pairs of a config file, parsed but not yet
+    checked against the model."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -249,19 +233,17 @@ def _read_config(path) -> ExperimentConfig:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
-        raise ConfigParseError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
-    overrides = {}
+    values = {}
     for section in parser.sections():
         if section not in _SCHEMA:
-            raise ConfigValueError(f"{path}: unknown section [{section}]")
+            raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
-                raise ConfigValueError(f"{path}: unknown key {key!r} in [{section}]")
-            overrides[key] = _parse_value(
-                _SCHEMA[section][key], raw, f"{path}: [{section}] {key}"
-            )
-    return ExperimentConfig(**overrides)
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            values[key] = _parse_value(_SCHEMA[section][key], raw, f"{path}: [{section}] {key}")
+    return values
 
 
 def _sweep_point(task) -> list:
@@ -294,7 +276,7 @@ def sweep_workers(n_points: int) -> int:
         try:
             workers = min(workers, max(1, int(cap)))
         except ValueError:
-            raise ConfigValueError(f"COOPA_THREADS must be an integer, got {cap!r}")
+            raise ConfigError(f"COOPA_THREADS must be an integer, got {cap!r}")
     return workers
 
 
@@ -317,7 +299,7 @@ def run_sweep(config: ExperimentConfig, path=None) -> str:
     point trains. Returns the CSV path.
     """
     if len(config.gains) != 2:
-        raise ConfigValueError("sweep compares against the two-user closed form")
+        raise ConfigError("sweep compares against the two-user closed form")
     betas = sorted(config.betas)
     path = _output_file(os.path.join(config.out_dir, "sweep.csv") if path is None else path)
     tasks = [(config, beta, k) for k, beta in enumerate(betas)]
@@ -411,6 +393,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_surface(args) -> int:
     config = _load_with_overrides(args)
+    if len(config.gains) != 2:
+        raise ConfigError(f"[network] the Q-surface needs 2 cells, got {len(config.gains)}")
     _output_file(args.out)
     _, agents, _ = _train_from_config(config)
     path = export_q_surface(agents, args.out)
@@ -421,18 +405,18 @@ def _cmd_surface(args) -> int:
 def _load_with_overrides(args) -> ExperimentConfig:
     """The config file with the command's options applied over it
     (--seed, --out but for surface, sweep --betas, surface --beta),
-    validated once, so an option may replace a value the file gets wrong."""
-    config = _read_config(args.config)
-    updates = {}
+    built and so checked once, so an option may replace a value the file
+    gets wrong."""
+    values = _read_config(args.config)
     if args.seed is not None:
-        updates["seed"] = args.seed
+        values["seed"] = args.seed
     if args.out is not None and args.command != "surface":
-        updates["out_dir"] = args.out
+        values["out_dir"] = args.out
     if getattr(args, "betas", None) is not None:
-        updates["betas"] = _parse_value("beta_range", args.betas, "--betas")
+        values["betas"] = _parse_value("beta_range", args.betas, "--betas")
     if getattr(args, "beta", None) is not None:
-        updates["beta"] = args.beta
-    return _validate(replace(config, **updates))
+        values["beta"] = args.beta
+    return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:

@@ -332,14 +332,17 @@ class PlanStep(NamedTuple):
     gather holds the births of the tables it sums, ascending. memo says
     whether a tracked plan recomputes just this step's dirty rows: its
     result has a scope, its joint table MEMO_MIN_ENTRIES entries and its
-    offsets fit MAX_TABLE_ENTRIES, and its layout has the gathers that
-    the row path and recovery read.
+    offsets fit MAX_TABLE_ENTRIES, so its layout has the gathers that the
+    row path and recovery read.
     """
 
     agent: int
     gather: tuple[int, ...]
     layout: Layout
-    memo: bool
+
+    @property
+    def memo(self) -> bool:
+        return self.layout.gathers is not None
 
 
 def _dirty_rows(layout: Layout, changes) -> np.ndarray:
@@ -456,7 +459,7 @@ class EliminationPlan:
                 live.append((birth, layout.remaining))
             else:
                 finished.append(birth)
-            steps.append(PlanStep(agent, tuple(k for k, _ in gather), layout, layout.gathers is not None))
+            steps.append(PlanStep(agent, tuple(k for k, _ in gather), layout))
 
         self.order = order
         self.steps = tuple(steps)

@@ -76,6 +76,7 @@ __all__ = [
     "train",
     "build_agents",
     "q_table_entries",
+    "check_q_tables",
     "greedy_joint_action",
     "write_trace_csv",
 ]
@@ -263,20 +264,26 @@ def q_table_entries(cfg: radio.NetworkConfig) -> list[int]:
     return [int(cfg.n_power) ** (1 + len(i)) for i in cfg.interferers]
 
 
+def check_q_tables(cfg: radio.NetworkConfig, where: str = "") -> None:
+    """ValueError, naming n_power and the cell count (and then `where`),
+    if the agents' Q-tables would hold over MAX_TABLE_ENTRIES in all."""
+    entries = sum(q_table_entries(cfg))
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"n_power = {cfg.n_power} over {cfg.n_agents} cells makes Q-tables "
+            f"of {entries} entries in all{where} (limit {MAX_TABLE_ENTRIES})"
+        )
+
+
 def build_agents(cfg: radio.NetworkConfig) -> list[Agent]:
     """Create zero-initialized agents for a network.
 
     Each agent's scope is itself plus its interferers, the agent-based
     decomposition induced by the interference model; its power levels are
-    its row of radio.build_action_grid(cfg). Q-tables of more than
-    MAX_TABLE_ENTRIES entries in all are refused before any is allocated.
+    its row of radio.build_action_grid(cfg). Q-tables too large for
+    check_q_tables are refused before any is allocated.
     """
-    entries = sum(q_table_entries(cfg))
-    if entries > MAX_TABLE_ENTRIES:
-        raise ValueError(
-            f"n_power = {cfg.n_power} over {cfg.n_agents} cells makes Q-tables "
-            f"of {entries} entries in all (limit {MAX_TABLE_ENTRIES})"
-        )
+    check_q_tables(cfg)
     grid = radio.build_action_grid(cfg)
     agents = []
     for j in range(cfg.n_agents):

@@ -62,40 +62,40 @@ class TestLoadConfig:
     def test_beta_out_of_range(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[network]\nbeta = 1.5\n")
-        with pytest.raises(cli.ConfigValueError):
+        with pytest.raises(cli.ConfigError):
             cli.load_config(path)
 
     def test_n_power_too_small(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[network]\nn_power = 1\n")
-        with pytest.raises(cli.ConfigValueError):
+        with pytest.raises(cli.ConfigError):
             cli.load_config(path)
 
     def test_unparseable_value(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[network]\nn_power = lots\n")
-        with pytest.raises(cli.ConfigParseError):
+        with pytest.raises(cli.ConfigError):
             cli.load_config(path)
 
     def test_malformed_ini(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("n_power = 5\n")  # key before any section header
-        with pytest.raises(cli.ConfigParseError):
+        with pytest.raises(cli.ConfigError):
             cli.load_config(path)
 
     def test_unknown_key_and_section(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[network]\nbandwidth = 20\n")
-        with pytest.raises(cli.ConfigValueError):
+        with pytest.raises(cli.ConfigError):
             cli.load_config(path)
         path.write_text("[antenna]\ntilt = 3\n")
-        with pytest.raises(cli.ConfigValueError):
+        with pytest.raises(cli.ConfigError):
             cli.load_config(path)
 
     def test_mismatched_lists(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[network]\ngains = 1.0, 2.0, 3.0\n")
-        with pytest.raises(cli.ConfigValueError):
+        with pytest.raises(cli.ConfigError):
             cli.load_config(path)
 
     def test_tables_at_the_limit_pass(self, tmp_path):
@@ -104,7 +104,7 @@ class TestLoadConfig:
         path.write_text(f"[network]\nbeta = 0\nn_power = {MAX_TABLE_ENTRIES // 2}\n[experiment]\nbetas = 0\n")
         cli.load_config(path)
         path.write_text(f"[network]\nbeta = 0\nn_power = {MAX_TABLE_ENTRIES // 2 + 1}\n[experiment]\nbetas = 0\n")
-        with pytest.raises(cli.ConfigValueError, match=r"over 2 cells .* \(limit"):
+        with pytest.raises(cli.ConfigError, match=r"over 2 cells .* \(limit"):
             cli.load_config(path)
 
     def test_epsilon_defaults_decay_over_all_episodes(self, tmp_path):
@@ -129,16 +129,16 @@ class TestBetaRange:
         assert cli.parse_beta_range("0.1, 0.5") == (0.1, 0.5)
 
     def test_garbage(self):
-        with pytest.raises(cli.ConfigParseError):
+        with pytest.raises(cli.ConfigError):
             cli.parse_beta_range("0..1")
-        with pytest.raises(cli.ConfigParseError):
+        with pytest.raises(cli.ConfigError):
             cli.parse_beta_range("1:0:0.1")
 
     def test_point_count_is_capped(self):
         betas = cli.parse_beta_range("0:1:0.001")
         assert len(betas) == cli.MAX_BETA_POINTS == 1001
         assert (betas[0], betas[-1]) == (0.0, 1.0)
-        with pytest.raises(cli.ConfigValueError, match="100001 points"):
+        with pytest.raises(cli.ConfigError, match="100001 points"):
             cli.parse_beta_range("0:1:1e-5")
 
 
@@ -219,12 +219,12 @@ class TestSweep:
     def test_bad_thread_cap(self, small_config, tmp_path, monkeypatch):
         config = cli.load_config(small_config)
         monkeypatch.setenv("COOPA_THREADS", "many")
-        with pytest.raises(cli.ConfigValueError):
+        with pytest.raises(cli.ConfigError):
             cli.run_sweep(config, tmp_path / "x.csv")
 
     def test_needs_two_agents(self, tmp_path):
         config = cli.ExperimentConfig(gains=(1.0,), p_max_dbm=(10.0,))
-        with pytest.raises(cli.ConfigValueError):
+        with pytest.raises(cli.ConfigError):
             cli.run_sweep(config, tmp_path / "x.csv")
 
 
@@ -321,12 +321,12 @@ class TestCommandLine:
         config = tmp_path / "exp.ini"
         config.write_text("")
         checked, swept = [], []
-        validate = cli._validate
-        monkeypatch.setattr(cli, "_validate", lambda c: checked.append(c) or validate(c))
+        check = cli.ExperimentConfig.__post_init__
+        monkeypatch.setattr(cli.ExperimentConfig, "__post_init__", lambda c: checked.append(c) or check(c))
         monkeypatch.setattr(cli, "run_sweep", lambda c: swept.append(c) or "sweep.csv")
         rc = cli.main(["sweep", "--config", str(config), "--betas", "0:1:0.5", "--seed", "3"])
         assert rc == 0
-        # Only the file with every option applied.
+        # One config is built: the file with every option applied.
         assert [(c.seed, c.betas) for c in checked] == [(3, (0.0, 0.5, 1.0))]
         assert swept == checked
 
@@ -387,6 +387,9 @@ class TestCommandLine:
         config.write_text(f"[{section}]\n{line}\n")
         with pytest.raises(cli.ConfigError, match=re.escape(named)):
             cli.load_config(config)
+        # The same values from Python (a malformed range fails to parse).
+        with pytest.raises(cli.ConfigError, match=re.escape(named)):
+            cli.ExperimentConfig(**cli._read_config(config))
         rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert named in capsys.readouterr().out
@@ -459,6 +462,26 @@ class TestCommandLine:
         assert message.startswith("error: [network] n_power = ")
         assert f" over {cells} cells " in message
         assert f" at beta {beta} (limit {MAX_TABLE_ENTRIES})" in message
+        assert not out.exists()
+
+    def test_tables_over_the_limit_fail_when_built_in_python(self, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text("[network]\nn_power = 1000000\n")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        with pytest.raises(cli.ConfigError) as refused:
+            config = cli.ExperimentConfig(n_power=10**6, betas=(0.1, 0.3))
+            cli.run_sweep(config, tmp_path / "apiout" / "sweep.csv")
+        assert capsys.readouterr().out == f"error: {refused.value}\n"
+        assert not (tmp_path / "apiout").exists()
+
+    def test_surface_refuses_other_than_two_cells_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.runtime, "train", lambda *a, **kw: pytest.fail("trained"))
+        config = tmp_path / "exp.ini"
+        config.write_text("[network]\ngains = 1, 1, 1\np_max_dbm = 10, 10, 10\nn_power = 3\n")
+        out = tmp_path / "out"
+        rc = cli.main(["surface", "--config", str(config), "--out", str(out / "q.csv")])
+        assert rc == 2
+        assert capsys.readouterr().out == "error: [network] the Q-surface needs 2 cells, got 3\n"
         assert not out.exists()
 
 
