@@ -84,9 +84,10 @@ class ExperimentConfig:
             )
         if any(g <= 0 for g in self.gains):
             raise ConfigError("[network] gains: channel gains must be positive")
+        built = {}
         for section, build in (("network", self.network), ("learning", lambda: self.learning(1))):
             try:
-                build()
+                built[section] = build()
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {exc}") from None
         if self.episodes is not None and self.episodes < 1:
@@ -98,10 +99,11 @@ class ExperimentConfig:
         if any(not 0 <= b <= 1 for b in self.betas):
             raise ConfigError("[experiment] betas must all lie in [0, 1]")
         # Training builds the agents' Q-tables at beta, or a sweep at each of
-        # betas, of which the largest gives the most interferers.
-        for beta in (self.beta, max(self.betas, default=0.0)):
+        # betas, of which the largest gives the most interferers; one network each.
+        for beta in dict.fromkeys((self.beta, max(self.betas, default=0.0))):
             try:
-                runtime.check_q_tables(self.network(beta), f" at beta {beta}")
+                net = built["network"] if beta == self.beta else self.network(beta)
+                runtime.check_q_tables(net, f" at beta {beta}")
             except ValueError as exc:
                 raise ConfigError(f"[network] {exc}") from None
 
@@ -299,7 +301,7 @@ def run_sweep(config: ExperimentConfig, path=None) -> str:
     point trains. Returns the CSV path.
     """
     if len(config.gains) != 2:
-        raise ConfigError("sweep compares against the two-user closed form")
+        raise ConfigError(f"[network] the sweep needs 2 cells, got {len(config.gains)}")
     betas = sorted(config.betas)
     path = _output_file(os.path.join(config.out_dir, "sweep.csv") if path is None else path)
     tasks = [(config, beta, k) for k, beta in enumerate(betas)]

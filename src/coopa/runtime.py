@@ -9,10 +9,9 @@ to whichever of the surviving scope agents is eliminated next. A reverse
 chain of assignment messages then fixes everyone's action. Per-user SINR
 comes back as feedback messages, and each agent updates its own table;
 updates touch disjoint tables, so they can run concurrently without
-changing the result. Concurrent updates run on a pool of two workers,
-each taking one contiguous half of the agents in id order: an update is
-a few microseconds of GIL-bound Python, so two workers are the fewest
-that still overlap, and every further one only adds a thread start-up.
+changing the result. Concurrent updates split the agents, in id order,
+into two contiguous halves: the main thread updates the first while one
+worker updates the second.
 
 The choreography depends only on the graph, the action sizes and the
 elimination order, none of which change during training, and the tables
@@ -58,9 +57,6 @@ from .learner import (
     local_update,
     require_count,
 )
-
-# Fewest workers that still overlap; more only add thread start-ups.
-_POOL_WORKERS = 2
 
 __all__ = [
     "ShareQ",
@@ -318,11 +314,11 @@ def run_episode(
     passes, so the second's plan run returns the first's result without
     running a step; the second still sends its messages.
 
-    With `parallel`, the updates run on a pool opened for this episode
-    with two workers (see the module docstring for why two): the agents,
-    in id order, split into two contiguous halves, the first taking the
-    extra agent of an odd count, and each worker updates its half in
-    order. The tables are disjoint, so the result is the sequential one.
+    With `parallel`, the agents, in id order, split into two contiguous
+    halves, the first taking the extra agent of an odd count. The second
+    half is submitted to a one-worker pool opened for this episode, the
+    main thread updates the first, and each half runs in order. The
+    tables are disjoint, so the result is the sequential one.
     """
     agents = coordination.agents
     bus = coordination.bus
@@ -351,8 +347,10 @@ def run_episode(
     if parallel and len(agents) > 1:
         pairs = list(zip(agents, rewards))
         half = (len(pairs) + 1) // 2
-        with ThreadPoolExecutor(max_workers=_POOL_WORKERS) as pool:
-            list(pool.map(update, (pairs[:half], pairs[half:])))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            second = pool.submit(update, pairs[half:])
+            update(pairs[:half])
+            second.result()
     else:
         update(zip(agents, rewards))
 
@@ -381,7 +379,7 @@ def train(
     a non-negative integer or a sequence of them): same seed, same trace
     log, same final tables, with or without parallel agent updates. The
     coordination is bound once, for every episode. With `parallel`, each
-    episode updates the agents on its own two-worker pool.
+    episode opens a one-worker pool for half the agents' updates.
     """
     require_count("episodes", episodes)
     if episodes < 1:

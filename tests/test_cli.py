@@ -107,6 +107,17 @@ class TestLoadConfig:
         with pytest.raises(cli.ConfigError, match=r"over 2 cells .* \(limit"):
             cli.load_config(path)
 
+    def test_each_distinct_beta_builds_one_network(self, monkeypatch):
+        built = []
+        network = cli.ExperimentConfig.network
+        monkeypatch.setattr(cli.ExperimentConfig, "network", lambda c, beta=None: built.append(beta) or network(c, beta))
+        cli.ExperimentConfig()
+        # at beta 0.3, and at 1.0, the largest of the default sweep betas
+        assert built == [None, 1.0]
+        built.clear()
+        cli.ExperimentConfig(betas=(0.0, 0.3))
+        assert built == [None]
+
     def test_epsilon_defaults_decay_over_all_episodes(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[experiment]\nepisodes = 1000\n")
@@ -224,8 +235,10 @@ class TestSweep:
 
     def test_needs_two_agents(self, tmp_path):
         config = cli.ExperimentConfig(gains=(1.0,), p_max_dbm=(10.0,))
-        with pytest.raises(cli.ConfigError):
-            cli.run_sweep(config, tmp_path / "x.csv")
+        with pytest.raises(cli.ConfigError) as refused:
+            cli.run_sweep(config, tmp_path / "out" / "x.csv")
+        assert str(refused.value) == "[network] the sweep needs 2 cells, got 1"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSurface:

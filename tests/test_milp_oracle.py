@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
+from coopa import radio
 from coopa.coordgraph import (
     MAX_TABLE_ENTRIES,
     CoordinationGraph,
@@ -19,6 +20,8 @@ from coopa.coordgraph import (
     default_elimination_order,
     ve_argmax,
 )
+from coopa.learner import LearningParams
+from coopa.runtime import greedy_joint_action, train
 
 LEVELS = 3
 
@@ -143,3 +146,30 @@ def test_the_oracle_reaches_past_brute_force():
     assert sorted(action) == list(range(20))
     assert sum(t.values[tuple(action[a] for a in t.scope)] for t in tables) == pytest.approx(optimum, rel=1e-9)
     assert ve_argmax(tables, range(20))[1] == pytest.approx(optimum, rel=1e-9)
+
+
+def test_greedy_readout_of_a_trained_ring_reaches_the_integer_programs():
+    # Twenty cells, each interfering with its two neighbours, with the
+    # reference scenario's gains and caps alternating around the ring.
+    cells, episodes = 20, 400
+    beta = np.zeros((cells, cells))
+    for i in range(cells):
+        beta[i, (i + 1) % cells] = beta[(i + 1) % cells, i] = 0.3
+    net = radio.NetworkConfig(
+        gain=np.resize([2.5, 1.5], cells),
+        beta=beta,
+        noise_mw=1.0,
+        p_max_dbm=np.resize([10.0, 13.0], cells),
+        n_power=LEVELS,
+    )
+    params = LearningParams(epsilon_decay_episodes=episodes)
+    agents, _ = train(net, params, episodes, seed=2, order_strategy="min-degree")
+    tables = [a.local_q.as_function_table(0) for a in agents]
+    assert LEVELS**cells > MAX_TABLE_ENTRIES
+    _, optimum = milp_argmax(tables)
+    graph = CoordinationGraph(tuple(t.scope for t in tables))
+    for strategy in ("fixed-reverse", "min-degree"):
+        action, value = greedy_joint_action(agents, default_elimination_order(graph, strategy))
+        attained = sum(t.values[tuple(action[a] for a in t.scope)] for t in tables)
+        assert value == pytest.approx(optimum, rel=1e-9)
+        assert attained == pytest.approx(optimum, rel=1e-9)

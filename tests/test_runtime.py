@@ -281,7 +281,7 @@ class TestTrain:
     def test_parallel_equals_sequential_on_a_ring(self, cells):
         # min-degree eliminations on a ring induce tables over 3 agents,
         # which the two-cell case never reaches, with the pool running;
-        # 5 cells split unevenly between the pool's two workers.
+        # 5 cells split unevenly between the main thread and the worker.
         cfg = ring_config(cells)
         params = LearningParams(epsilon_decay_episodes=150)
         runs = [
@@ -293,24 +293,29 @@ class TestTrain:
         for a, b in zip(seq_agents, par_agents):
             assert a.local_q.values.tobytes() == b.local_q.values.tobytes()
 
-    def test_parallel_updates_run_on_a_two_worker_pool(self, monkeypatch):
-        pools = []
+    def test_parallel_updates_split_between_main_thread_and_one_worker(self, monkeypatch):
+        pools, events = [], []
 
         class RecordingPool(runtime.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 super().__init__(max_workers)
                 self.max_workers, self.batches = max_workers, []
                 pools.append(self)
+                events.append(("open", pools.index(self)))
 
             def submit(self, fn, batch):
                 self.batches.append([agent.id for agent, _ in batch])
+                events.append(("submit", pools.index(self)))
                 return super().submit(fn, batch)
 
-        updates = []
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                events.append(("shutdown", pools.index(self)))
+
         original = runtime.local_update
 
         def recording_update(q, *args):
-            updates.append((q.agent, threading.get_ident()))
+            events.append(("update", q.agent, threading.get_ident()))
             return original(q, *args)
 
         monkeypatch.setattr(runtime, "ThreadPoolExecutor", RecordingPool)
@@ -318,15 +323,36 @@ class TestTrain:
         episodes = 4
         train(ring_config(5), LearningParams(), episodes=episodes, seed=0, parallel=True)
 
-        # one pool per episode, two workers, the id-ordered halves 3 + 2
-        assert [(p.max_workers, p.batches) for p in pools] == [
-            (2, [[0, 1, 2], [3, 4]])
-        ] * episodes
-        # each episode's pool is shut down before the next one opens
+        # one one-worker pool per episode, handed the id-ordered second half
+        assert [(p.max_workers, p.batches) for p in pools] == [(1, [[3, 4]])] * episodes
+        main = threading.get_ident()
+        assert len(events) == 8 * episodes
         for e in range(episodes):
-            assert sorted(a for a, _ in updates[5 * e : 5 * (e + 1)]) == list(range(5))
-        assert len(updates) == 5 * episodes
-        assert threading.get_ident() not in {thread for _, thread in updates}
+            opened, submitted, *updates, shut = events[8 * e : 8 * (e + 1)]
+            # the submit comes before any update, and the pool is shut
+            # down after them all, before the next episode's opens
+            assert (opened, submitted, shut) == (("open", e), ("submit", e), ("shutdown", e))
+            assert [a for _, a, t in updates if t == main] == [0, 1, 2]
+            assert [a for _, a, t in updates if t != main] == [3, 4]
+            assert len({t for _, _, t in updates if t != main}) == 1
+
+    def test_parallel_halves_update_at_the_same_time(self, monkeypatch):
+        # The first agent of each half waits at a barrier for the other:
+        # it is passed only if both halves are inside an update at once.
+        barrier = threading.Barrier(2, timeout=30)
+        passed = []
+        original = runtime.local_update
+
+        def meeting_update(q, *args):
+            if q.agent in (0, 3):
+                barrier.wait()
+                passed.append(q.agent)
+            return original(q, *args)
+
+        monkeypatch.setattr(runtime, "local_update", meeting_update)
+        episodes = 4
+        train(ring_config(5), LearningParams(), episodes=episodes, seed=0, parallel=True)
+        assert sorted(passed) == [0] * episodes + [3] * episodes
 
     def test_learns_reference_two_cell_optimum(self):
         # small grid so the full run stays fast; the full-size case is in
